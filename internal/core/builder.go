@@ -213,7 +213,7 @@ func BuildContext(ctx context.Context, v *dataview.View, rows dataset.RowSet, cf
 	var bm *dataset.Bitmap
 	if useBitmap {
 		start := time.Now()
-		bm = rows.Bitmap(v.Table().NumRows())
+		bm = rows.Bitmap(v.Rows())
 		warmPivotPostings(v, cfg.Pivot)
 		tm.Index = time.Since(start)
 	}

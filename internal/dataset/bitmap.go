@@ -273,6 +273,27 @@ func (b *Bitmap) Clone() *Bitmap {
 	return out
 }
 
+// Resize returns b's members below n as a bitmap over the universe
+// {0, ..., n-1}: a smaller universe drops the rows at or past n, a
+// larger one adds no members. It is how a set from a grown table's index
+// meets a set over an older row snapshot, and back. b itself comes back
+// when n is already its universe; otherwise the result shares b's
+// containers (all but a cut tail) and is read-only, like an index-owned
+// set.
+func (b *Bitmap) Resize(n int) *Bitmap {
+	if n == b.n {
+		return b
+	}
+	out := NewBitmap(n)
+	copy(out.cs, b.cs)
+	if last := len(out.cs) - 1; n < b.n && out.chunkLim(last) < chunkSize {
+		keep := fullContainer(out.chunkLim(last))
+		out.cs[last] = andContainers(&b.cs[last], &keep)
+	}
+	out.frozen = true
+	return out
+}
+
 // sameUniverse panics unless o shares b's universe.
 func (b *Bitmap) sameUniverse(o *Bitmap) {
 	if b.n != o.n {

@@ -137,3 +137,36 @@ func TestBitmapUniverseMismatchPanics(t *testing.T) {
 	}()
 	NewBitmap(64).And(NewBitmap(128))
 }
+
+// TestBitmapResize pins Resize against a row filter: shrinking keeps the
+// members below the new universe (cutting array, packed and run tails
+// mid-chunk and on chunk boundaries), growing keeps every member, and
+// the result composes with sets over its new universe.
+func TestBitmapResize(t *testing.T) {
+	const n = 3*SegmentSize + 1234
+	var sparse, dense RowSet
+	for r := 0; r < n; r++ {
+		if r%97 == 0 {
+			sparse = append(sparse, r)
+		}
+		if r%3 != 0 {
+			dense = append(dense, r)
+		}
+	}
+	for _, b := range []*Bitmap{FromRowSet(n, sparse), FromRowSet(n, dense), FullBitmap(n), FromRowSet(n, dense).Freeze()} {
+		members := b.ToRowSet()
+		for _, m := range []int{1, 500, SegmentSize, SegmentSize + 1, 2*SegmentSize - 1, n, n + 70000} {
+			got := b.Resize(m)
+			if got.Universe() != m {
+				t.Fatalf("Resize(%d).Universe() = %d", m, got.Universe())
+			}
+			want := members.Filter(func(r int) bool { return r < m })
+			if rows := got.ToRowSet(); !reflect.DeepEqual(rows, want) && len(rows)+len(want) > 0 {
+				t.Fatalf("Resize(%d) holds %d rows, want %d", m, len(rows), len(want))
+			}
+			if got.AndLen(FullBitmap(m)) != len(want) {
+				t.Fatalf("Resize(%d) does not compose with a %d-row set", m, m)
+			}
+		}
+	}
+}

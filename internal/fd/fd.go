@@ -39,12 +39,10 @@ func (d Dependency) String() string {
 // G3 computes the g3 error of X → Y over rows: for each X value keep the
 // most common Y value and count everything else as violations.
 func G3(v *dataview.View, rows dataset.RowSet, x, y string) (float64, error) {
-	cx, err := v.Column(x)
-	if err != nil {
+	if _, err := v.Column(x); err != nil {
 		return 0, err
 	}
-	cy, err := v.Column(y)
-	if err != nil {
+	if _, err := v.Column(y); err != nil {
 		return 0, err
 	}
 	if x == y {
@@ -53,33 +51,38 @@ func G3(v *dataview.View, rows dataset.RowSet, x, y string) (float64, error) {
 	if len(rows) == 0 {
 		return 0, fmt.Errorf("fd: empty row set")
 	}
-	counts := make([][]int, cx.Cardinality())
-	labeled := 0
-	for _, r := range rows {
-		xc, yc := cx.Code(r), cy.Code(r)
-		if xc < 0 || yc < 0 {
-			continue // NaN cells join no (X, Y) group and cannot violate
+	pc, err := v.CountPairs(rows, []string{x, y})
+	if err != nil {
+		return 0, err
+	}
+	g3, _ := g3Pair(pc.Joint(0, 1))
+	return g3, nil
+}
+
+// g3Pair returns the g3 errors of A → B and B → A from one joint table:
+// A → B keeps each A code's largest cell (the row maxima), B → A each B
+// code's (the column maxima). Cells with a NaN side are not in the
+// table, so they join no group and cannot violate.
+func g3Pair(jt *dataview.Joint) (ab, ba float64) {
+	labeled, keptAB, keptBA := 0, 0, 0
+	colMax := make([]int32, jt.BCard)
+	for a := 0; a < jt.ACard(); a++ {
+		codes, counts := jt.Row(a)
+		best := int32(0)
+		for k, c := range counts {
+			labeled += int(c)
+			best = max(best, c)
+			colMax[codes[k]] = max(colMax[codes[k]], c)
 		}
-		labeled++
-		if counts[xc] == nil {
-			counts[xc] = make([]int, cy.Cardinality())
-		}
-		counts[xc][yc]++
+		keptAB += int(best)
 	}
 	if labeled == 0 {
-		return 0, nil
+		return 0, 0
 	}
-	kept := 0
-	for _, row := range counts {
-		best := 0
-		for _, c := range row {
-			if c > best {
-				best = c
-			}
-		}
-		kept += best
+	for _, c := range colMax {
+		keptBA += int(c)
 	}
-	return 1 - float64(kept)/float64(labeled), nil
+	return 1 - float64(keptAB)/float64(labeled), 1 - float64(keptBA)/float64(labeled)
 }
 
 // Options configures discovery.
@@ -118,50 +121,51 @@ func (o Options) withDefaults() Options {
 // X → Y among the given attributes over rows, sorted by ascending error
 // then by name.
 func Discover(v *dataview.View, rows dataset.RowSet, attrs []string, opt Options) ([]Dependency, error) {
-	opt = opt.withDefaults()
 	if len(attrs) < 2 {
 		return nil, fmt.Errorf("fd: need at least 2 attributes, got %d", len(attrs))
 	}
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("fd: empty row set")
 	}
-	// Pre-validate and pre-compute live cardinalities.
-	liveCard := make(map[string]int, len(attrs))
-	for _, a := range attrs {
-		col, err := v.Column(a)
-		if err != nil {
-			return nil, err
-		}
-		seen := map[int]bool{}
-		for _, r := range rows {
-			if c := col.Code(r); c >= 0 { // NaN cells are no live value
-				seen[c] = true
+	pc, err := v.CountPairs(rows, attrs)
+	if err != nil {
+		return nil, err
+	}
+	return DiscoverPairs(pc, opt), nil
+}
+
+// DiscoverPairs is Discover over an existing pairwise sweep, so one
+// sweep can feed several miners. Both directions of a pair come from
+// the same joint table.
+func DiscoverPairs(pc *dataview.PairCounts, opt Options) []Dependency {
+	opt = opt.withDefaults()
+	// Live cardinalities: NaN cells are no live value.
+	live := make([]int, len(pc.Cols))
+	for i := range live {
+		for _, c := range pc.Marginal(i) {
+			if c > 0 {
+				live[i]++
 			}
 		}
-		liveCard[a] = len(seen)
 	}
 	var out []Dependency
-	for _, x := range attrs {
-		if liveCard[x] < opt.MinDeterminantCard {
-			continue
+	report := func(x, y int, g3 float64) {
+		switch {
+		case live[x] < opt.MinDeterminantCard,
+			float64(live[x]) > opt.MaxDeterminantFraction*float64(pc.Rows),
+			live[y] < 2,
+			pc.Cols[x].Attr == pc.Cols[y].Attr,
+			opt.Exact && g3 != 0,
+			g3 > opt.MaxError:
+			return
 		}
-		if float64(liveCard[x]) > opt.MaxDeterminantFraction*float64(len(rows)) {
-			continue
-		}
-		for _, y := range attrs {
-			if x == y || liveCard[y] < 2 {
-				continue
-			}
-			g3, err := G3(v, rows, x, y)
-			if err != nil {
-				return nil, err
-			}
-			if opt.Exact && g3 != 0 {
-				continue
-			}
-			if g3 <= opt.MaxError {
-				out = append(out, Dependency{Determinant: x, Dependent: y, Error: g3})
-			}
+		out = append(out, Dependency{Determinant: pc.Cols[x].Attr, Dependent: pc.Cols[y].Attr, Error: g3})
+	}
+	for i := range pc.Cols {
+		for j := i + 1; j < len(pc.Cols); j++ {
+			ij, ji := g3Pair(pc.Joint(i, j))
+			report(i, j, ij)
+			report(j, i, ji)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -173,7 +177,7 @@ func Discover(v *dataview.View, rows dataset.RowSet, attrs []string, opt Options
 		}
 		return out[i].Dependent < out[j].Dependent
 	})
-	return out, nil
+	return out
 }
 
 // Correlation is a CORDS-style correlated attribute pair.
@@ -202,24 +206,20 @@ func Correlations(v *dataview.View, rows dataset.RowSet, attrs []string, signifi
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("fd: empty row set")
 	}
-	cols := make([]*dataview.Column, len(attrs))
-	for i, a := range attrs {
-		c, err := v.Column(a)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c
+	pc, err := v.CountPairs(rows, attrs)
+	if err != nil {
+		return nil, err
 	}
 	var out []Correlation
 	for i := 0; i < len(attrs); i++ {
 		for j := i + 1; j < len(attrs); j++ {
-			ct := stats.NewContingencyTable(cols[i].Cardinality(), cols[j].Cardinality())
-			for _, r := range rows {
-				ci, cj := cols[i].Code(r), cols[j].Code(r)
-				if ci < 0 || cj < 0 {
-					continue // NaN cells join no contingency cell
+			jt := pc.Joint(i, j)
+			ct := stats.NewContingencyTable(jt.ACard(), jt.BCard)
+			for a := range ct.Counts {
+				codes, counts := jt.Row(a)
+				for k, b := range codes {
+					ct.Counts[a][b] = int(counts[k])
 				}
-				ct.Add(ci, cj)
 			}
 			res, err := stats.ChiSquare(ct)
 			if err != nil {

@@ -142,6 +142,9 @@ type datasetEntry struct {
 	sugMu   sync.Mutex
 	sug     *suggest.Suggester
 	sugView *dataview.View
+	// sugBytes mirrors the cached model's size for the scrape-time
+	// suggest_model_bytes gauge, which must not wait on a model build.
+	sugBytes atomic.Int64
 }
 
 // snapshot returns the entry's current serving view and its matching
@@ -301,18 +304,34 @@ func (s *Server) observeSelectivity(kept, base int) {
 // datasets' tables — the level the index_posting_memory_bytes gauge
 // reports at /debug/metrics.
 func (s *Server) postingMemoryBytes() int64 {
-	s.mu.Lock()
-	entries := make([]*datasetEntry, 0, len(s.datasets))
-	for _, e := range s.datasets {
-		entries = append(entries, e)
-	}
-	s.mu.Unlock()
 	total := int64(0)
-	for _, e := range entries {
+	for _, e := range s.entries() {
 		v, _ := e.snapshot()
 		total += int64(v.Table().Index().MemoryBytes())
 	}
 	return total
+}
+
+// suggestModelBytes sums the cached suggestion models' table bytes over
+// the registered datasets — the level the suggest_model_bytes gauge
+// reports at /debug/metrics.
+func (s *Server) suggestModelBytes() int64 {
+	total := int64(0)
+	for _, e := range s.entries() {
+		total += e.sugBytes.Load()
+	}
+	return total
+}
+
+// entries returns the registered datasets in registration order.
+func (s *Server) entries() []*datasetEntry {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]*datasetEntry, 0, len(s.order))
+	for _, name := range s.order {
+		out = append(out, s.datasets[name])
+	}
+	return out
 }
 
 // Metrics returns the server's metrics registry, for embedding or
@@ -398,11 +417,12 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /api/reorder", s.deprecated("/api/v1/{dataset}/reorder", s.api("reorder", s.handleReorder)))
 	mux.HandleFunc("POST /api/suggest", s.deprecated("/api/v1/{dataset}/suggest", s.api("suggest", s.handleSuggest)))
 
-	// Refresh the posting-memory gauge at scrape time: postings build
-	// lazily during requests, so a value captured when a request started
-	// would miss everything that request materialized.
+	// Refresh the memory gauges at scrape time: postings and suggestion
+	// models build lazily during requests, so a value captured when a
+	// request started would miss everything that request materialized.
 	mux.Handle("GET /debug/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.reg.Gauge("index_posting_memory_bytes").Set(s.postingMemoryBytes())
+		s.reg.Gauge("suggest_model_bytes").Set(s.suggestModelBytes())
 		s.reg.ServeHTTP(w, r)
 	}))
 	mux.Handle("GET /debug/vars", expvar.Handler())

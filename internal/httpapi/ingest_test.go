@@ -5,8 +5,11 @@ package httpapi
 // refresh, suggester invalidation, and the ingest fault point.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"math"
+	"slices"
 
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +21,7 @@ import (
 	"dbexplorer/internal/dataset"
 	"dbexplorer/internal/dataview"
 	"dbexplorer/internal/fault"
+	"dbexplorer/internal/suggest"
 )
 
 // ingestView builds a small 3-column dataset whose rows are easy to
@@ -254,17 +258,43 @@ func TestIngestStaleServeCAD(t *testing.T) {
 
 func TestIngestInvalidatesSuggester(t *testing.T) {
 	s, e, srv := newIngestServer(t, 90)
-	suggest := func() {
+	ask := func() {
 		res, out := post(t, srv, "/api/v1/pets/suggest", map[string]any{"filters": []Filter{}})
 		if res.StatusCode != http.StatusOK {
 			t.Fatalf("suggest status %d: %v", res.StatusCode, out)
 		}
 	}
-	suggest()
+	modelBytes := func() int64 {
+		t.Helper()
+		res, err := http.Get(srv.URL + "/debug/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		var snap map[string]json.RawMessage
+		if err := json.NewDecoder(res.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		mustUnmarshal(t, snap["suggest_model_bytes"], &n)
+		return n
+	}
+	if got := modelBytes(); got != 0 {
+		t.Fatalf("suggest_model_bytes = %d before any model, want 0", got)
+	}
+	ask()
 	if got := s.reg.Counter("suggest_model_builds_total").Value(); got != 1 {
 		t.Fatalf("model builds = %d, want 1", got)
 	}
-	suggest()
+	v, _ := e.snapshot()
+	m, err := suggest.BuildModel(context.Background(), v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := modelBytes(), int64(m.MemoryBytes()); got != want || got <= 0 {
+		t.Fatalf("suggest_model_bytes = %d, want the model's %d", got, want)
+	}
+	ask()
 	if got := s.reg.Counter("suggest_model_builds_total").Value(); got != 1 {
 		t.Fatalf("cached suggester rebuilt: %d builds", got)
 	}
@@ -276,7 +306,7 @@ func TestIngestInvalidatesSuggester(t *testing.T) {
 		t.Fatalf("ingest status %d: %v", res.StatusCode, out)
 	}
 	waitViewRows(t, e, 91)
-	suggest()
+	ask()
 	if got := s.reg.Counter("suggest_model_invalidations_total").Value(); got != 1 {
 		t.Fatalf("model invalidations = %d, want 1", got)
 	}
@@ -339,6 +369,13 @@ func TestIngestConcurrentWithQueries(t *testing.T) {
 					t.Errorf("cad status %d: %v", res.StatusCode, out)
 					return
 				}
+				res, out = post(t, srv, "/api/v1/pets/suggest", map[string]any{
+					"filters": []Filter{{Attr: "kind", Values: []string{"dog"}}},
+				})
+				if res.StatusCode != http.StatusOK {
+					t.Errorf("suggest status %d: %v", res.StatusCode, out)
+					return
+				}
 			}
 		}()
 	}
@@ -355,6 +392,101 @@ func TestIngestConcurrentWithQueries(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	waitViewRows(t, e, 150+batches*per)
+}
+
+// TestIngestSuggestReadsServingSnapshot pins the /suggest ingest
+// regressions at the HTTP layer. Rows land in the table without a view
+// refresh — a new dictionary value, a new city, null ages — so the
+// serving view lags the table. Completion (with a numeric conjunct),
+// unfiltered drill-down and filtered drill-down must all answer 200
+// with counts equal to a brute-force scan of the serving view's rows.
+func TestIngestSuggestReadsServingSnapshot(t *testing.T) {
+	_, e, srv := newIngestServer(t, 200)
+	suggest := func(body map[string]any) map[string]json.RawMessage {
+		t.Helper()
+		res, out := post(t, srv, "/api/v1/pets/suggest", body)
+		if res.StatusCode != http.StatusOK {
+			t.Fatalf("suggest %v: status %d: %s", body, res.StatusCode, out["error"])
+		}
+		return out
+	}
+	suggest(map[string]any{"filters": []Filter{}}) // mine the model on the current view
+
+	v, _ := e.snapshot()
+	tbl := v.Table()
+	for i := 0; i < 40; i++ {
+		tbl.MustAppendRow("fish", "SF", math.NaN())
+		tbl.MustAppendRow("cat", "LA", float64(i%15))
+	}
+	tbl.Index()
+	if cur, _ := e.snapshot(); cur != v {
+		t.Fatal("serving view refreshed without an ingest")
+	}
+
+	// count brute-forces the serving view's rows: kind/city compare
+	// dictionary values, age its histogram bin label; only is an extra
+	// row predicate.
+	count := func(filters []Filter, attr, value string, only func(r int) bool) int {
+		match := func(r int, attr, value string) bool {
+			col, err := v.Column(attr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if col.Kind == dataset.Categorical {
+				return tbl.Cat(col.Col).Value(r) == value
+			}
+			x := tbl.Num(col.Col).Value(r)
+			return !math.IsNaN(x) && col.Label(col.Histogram().Bin(x)) == value
+		}
+		if attr != "" {
+			filters = append(filters[:len(filters):len(filters)], Filter{Attr: attr, Values: []string{value}})
+		}
+		n := 0
+	rows:
+		for r := 0; r < v.Rows(); r++ {
+			for _, f := range filters {
+				if !slices.ContainsFunc(f.Values, func(val string) bool { return match(r, f.Attr, val) }) {
+					continue rows
+				}
+			}
+			if only == nil || only(r) {
+				n++
+			}
+		}
+		return n
+	}
+	ageAtLeast5 := func(r int) bool { return tbl.Num(2).Value(r) >= 5 }
+
+	for stmt, only := range map[string]func(int) bool{
+		"SELECT * FROM pets WHERE kind = ":               nil,
+		"SELECT * FROM pets WHERE age >= 5 AND kind = ":  ageAtLeast5,
+		"SELECT * FROM pets WHERE age >= 5 AND city != ": ageAtLeast5,
+	} {
+		var c suggestCompletion
+		mustUnmarshal(t, suggest(map[string]any{"statement": stmt, "limit": 100})["completion"], &c)
+		for _, cand := range c.Candidates {
+			if cand.Category != "value" {
+				continue
+			}
+			if want := count(nil, cand.Attr, cand.Text, only); cand.Count != want {
+				t.Errorf("%q: %s count = %d, serving view holds %d", stmt, cand.Text, cand.Count, want)
+			}
+		}
+	}
+	for _, filters := range [][]Filter{{}, {{Attr: "kind", Values: []string{"cat"}}}, {{Attr: "city", Values: []string{"NY"}}}} {
+		var d suggestDrilldown
+		mustUnmarshal(t, suggest(map[string]any{"filters": filters, "maxValues": 100, "includeDeadEnds": true})["drilldown"], &d)
+		if want := count(filters, "", "", nil); d.Total != want {
+			t.Errorf("drill %v: total = %d, serving view holds %d", filters, d.Total, want)
+		}
+		for _, a := range d.Attrs {
+			for _, val := range a.Values {
+				if want := count(filters, a.Attr, val.Value, nil); val.Count != want {
+					t.Errorf("drill %v: %s=%s count = %d, serving view holds %d", filters, a.Attr, val.Value, val.Count, want)
+				}
+			}
+		}
+	}
 }
 
 func mustUnmarshal(t *testing.T, raw json.RawMessage, into any) {

@@ -40,6 +40,7 @@ func (s *Server) suggesterFor(ctx context.Context, e *datasetEntry) (*suggest.Su
 	if e.sug != nil {
 		s.reg.Counter("suggest_model_invalidations_total").Inc()
 		e.sug, e.sugView = nil, nil
+		e.sugBytes.Store(0)
 	}
 	start := time.Now()
 	m, err := suggest.BuildModel(ctx, v)
@@ -55,6 +56,7 @@ func (s *Server) suggesterFor(ctx context.Context, e *datasetEntry) (*suggest.Su
 		ObserveDuration(time.Since(start))
 	e.sug = suggest.New(v, m)
 	e.sugView = v
+	e.sugBytes.Store(int64(m.MemoryBytes()))
 	return e.sug, nil
 }
 
@@ -116,13 +118,7 @@ func (s *Server) handleSuggest(ctx context.Context, ds *datasetEntry, w http.Res
 // bitmaps instead of paying the mining cost inline. cmd/serve calls it
 // behind -warm-suggest.
 func (s *Server) WarmSuggest(ctx context.Context) error {
-	s.mu.RLock()
-	entries := make([]*datasetEntry, 0, len(s.order))
-	for _, name := range s.order {
-		entries = append(entries, s.datasets[name])
-	}
-	s.mu.RUnlock()
-	for _, e := range entries {
+	for _, e := range s.entries() {
 		sug, apiErr := s.suggesterFor(ctx, e)
 		if apiErr != nil {
 			return fmt.Errorf("httpapi: warm suggest %q: %s", e.name, apiErr.body.Message)

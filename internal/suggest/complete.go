@@ -167,22 +167,7 @@ func (s *Suggester) valueCandidates(ctx context.Context, p *prefix, attr string)
 		return nil, err
 	}
 	n := s.base.Len()
-	filtered := p.total < n
-	var counts []int
-	if filtered {
-		postings := col.Postings()
-		counts = make([]int, len(postings))
-		for code, post := range postings {
-			counts[code] = p.bm.AndLen(post)
-		}
-	} else {
-		freqs := s.view.Table().Index().CatFreqs(col.Col)
-		counts = make([]int, len(freqs))
-		for code, f := range freqs {
-			counts[code] = int(f)
-		}
-	}
-	freqs := s.view.Table().Index().CatFreqs(col.Col)
+	counts, freqs := s.membershipCounts(p, col, p.total < n)
 	cands := make([]Candidate, 0, len(counts))
 	for code, count := range counts {
 		label := col.Label(code)
@@ -233,7 +218,10 @@ func (s *Suggester) numberCandidates(ctx context.Context, p *prefix, attr, op st
 		return nil, nil
 	}
 	ix := s.view.Table().Index()
-	filtered := p.total < s.base.Len()
+	// Once the live index has grown past the view, even an unfiltered
+	// probe counts through a filter: the view's whole snapshot.
+	inStep := ix.Rows() == s.base.Universe()
+	filtered := p.total < s.base.Len() || !inStep
 	includeEq, below, above := thresholdWindow(op)
 	// Threshold operators probe cumulative windows at every edge, so one
 	// batched sweep replaces one materialized range bitmap (plus
@@ -243,7 +231,7 @@ func (s *Suggester) numberCandidates(ctx context.Context, p *prefix, attr, op st
 	var lt, le []int
 	var valid int
 	if batched {
-		lt, le, valid = ix.NumEdgeCounts(col.Col, hist.Edges, p.bm)
+		lt, le, valid = ix.NumEdgeCounts(col.Col, hist.Edges, p.bm.Resize(ix.Rows()))
 	}
 	seen := make(map[float64]bool, len(hist.Edges))
 	cands := make([]Candidate, 0, len(hist.Edges))
@@ -263,7 +251,7 @@ func (s *Suggester) numberCandidates(ctx context.Context, p *prefix, attr, op st
 		case batched: // >
 			count = valid - le[i]
 		case filtered:
-			count = p.bm.AndLen(ix.NumCmpRange(col.Col, edge, includeEq, below, above))
+			count = p.bm.AndLen(s.numCmp(col.Col, edge, includeEq, below, above))
 		default:
 			count = ix.NumCmpRangeLen(col.Col, edge, includeEq, below, above)
 		}

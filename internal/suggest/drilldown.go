@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"dbexplorer/internal/dataset"
 	"dbexplorer/internal/dataview"
 	"dbexplorer/internal/fault"
 	"dbexplorer/internal/stats"
@@ -135,58 +134,20 @@ func (s *Suggester) rankAttrs(ctx context.Context, p *prefix) ([]AttrSuggestion,
 	return out, nil
 }
 
-// membershipCounts returns, per value bucket of col, the count inside
-// the prefix and the full-table frequency. Categorical buckets are
-// dictionary codes counted through posting-set popcounts; numeric
-// buckets are the column's histogram bins counted through cumulative
-// sorted-order probes — no row scans either way.
+// membershipCounts returns, per view code of col (dictionary values or
+// histogram bins), the count inside the prefix and the frequency over
+// the view's snapshot — posting-set popcounts and fused intersect-
+// popcounts, no row scans. Both read the view's own postings, so rows
+// the table gained after the view was built never leak in.
 func (s *Suggester) membershipCounts(p *prefix, col *dataview.Column, filtered bool) (in, freq []int) {
-	ix := s.view.Table().Index()
-	if col.Kind == dataset.Categorical {
-		fr := ix.CatFreqs(col.Col)
-		in = make([]int, len(fr))
-		freq = make([]int, len(fr))
-		for code, f := range fr {
-			freq[code] = int(f)
-		}
+	postings := col.Postings()
+	in = make([]int, len(postings))
+	freq = make([]int, len(postings))
+	for code, post := range postings {
+		freq[code] = post.Len()
+		in[code] = freq[code]
 		if filtered {
-			for code, post := range col.Postings() {
-				in[code] = p.bm.AndLen(post)
-			}
-		} else {
-			copy(in, freq)
-		}
-		return in, freq
-	}
-	hist := col.Histogram()
-	if hist == nil || hist.NumBins() <= 0 {
-		return nil, nil
-	}
-	nb := hist.NumBins()
-	in = make([]int, nb)
-	freq = make([]int, nb)
-	// Cumulative counts at each edge turn B+1 probes into B disjoint
-	// bins; the final bin is closed on the right (histogram semantics).
-	var cumIn []int
-	cumAll := make([]int, nb+1)
-	for i, edge := range hist.Edges {
-		includeEq := i == nb // last edge closes the top bin
-		cumAll[i] = ix.NumCmpRangeLen(col.Col, edge, includeEq, true, false)
-	}
-	if filtered {
-		// One sweep over the prefix bitmap delivers every edge's
-		// cumulative count at once — no per-edge range bitmap is
-		// materialized and intersected anymore.
-		lt, le, _ := ix.NumEdgeCounts(col.Col, hist.Edges, p.bm)
-		cumIn = lt
-		cumIn[nb] = le[nb] // last edge closes the top bin
-	}
-	for i := 0; i < nb; i++ {
-		freq[i] = cumAll[i+1] - cumAll[i]
-		if filtered {
-			in[i] = cumIn[i+1] - cumIn[i]
-		} else {
-			in[i] = freq[i]
+			in[code] = p.bm.AndLen(post)
 		}
 	}
 	return in, freq
@@ -212,24 +173,10 @@ func (s *Suggester) determinedBy(p *prefix, attr string) (string, float64) {
 // pruned unless opts.IncludeDeadEnds, in which case they trail the list
 // flagged. Numeric attributes surface histogram-bin labels.
 func (s *Suggester) valueSuggestions(p *prefix, col *dataview.Column, opts Options) []ValueSuggestion {
-	filtered := p.total < s.base.Len()
-	var vals []ValueSuggestion
-	if col.Kind == dataset.Categorical {
-		in, _ := s.membershipCounts(p, col, filtered)
-		vals = make([]ValueSuggestion, 0, len(in))
-		for code, n := range in {
-			vals = append(vals, ValueSuggestion{Value: col.Label(code), Count: n, DeadEnd: n == 0})
-		}
-	} else {
-		hist := col.Histogram()
-		if hist == nil {
-			return nil
-		}
-		in, _ := s.membershipCounts(p, col, filtered)
-		vals = make([]ValueSuggestion, 0, len(in))
-		for i, n := range in {
-			vals = append(vals, ValueSuggestion{Value: hist.Label(i), Count: n, DeadEnd: n == 0})
-		}
+	in, _ := s.membershipCounts(p, col, p.total < s.base.Len())
+	vals := make([]ValueSuggestion, 0, len(in))
+	for code, n := range in {
+		vals = append(vals, ValueSuggestion{Value: col.Label(code), Count: n, DeadEnd: n == 0})
 	}
 	if !opts.IncludeDeadEnds {
 		live := vals[:0]

@@ -7,14 +7,15 @@
 // with dead-end avoidance) — the paper's premise being that exploratory
 // users do not know the data well enough to write precise queries.
 //
-// Everything on the hot path is posting-bitmap algebra: value counts are
-// fused intersect-popcounts (Bitmap.AndLen) of index-owned posting sets
-// with the prefix bitmap, numeric probes are binary searches over the
-// index's sorted orders (Index.NumCmpRangeLen), and attribute ranking is
-// chi-square over contingency counts assembled from those popcounts.
-// After the lazy one-time posting builds, no request ever scans table
-// rows. The optional Model (functional dependencies + a Chow-Liu tree
-// Bayes net, mined once per dataset registration) adds interestingness:
+// Everything on the hot path is posting-bitmap algebra: value counts —
+// dictionary values and numeric histogram bins alike — are fused
+// intersect-popcounts (Bitmap.AndLen) of the view's posting sets with
+// the prefix bitmap, numeric threshold probes are binary searches over
+// the index's sorted orders (Index.NumCmpRangeLen), and attribute
+// ranking is chi-square over contingency counts assembled from those
+// popcounts. After the lazy one-time posting builds, no request ever
+// scans table rows. The optional Model (functional dependencies + a
+// Chow-Liu tree Bayes net, mined once per view snapshot) adds interestingness:
 // conditional probabilities under pinned parents and FD-based downranking
 // of determined attributes. Without a model the service degrades to
 // selectivity-only ranking.
@@ -65,11 +66,12 @@ func (m *Model) Dependencies() []fd.Dependency { return m.deps }
 // skipped for lack of attributes).
 func (m *Model) Network() *bayesnet.Network { return m.net }
 
-// BuildModel mines the model from the view's full table: one FD sweep
-// and one Chow-Liu learn over the queriable attributes. This is the one
-// deliberately row-scanning part of the package — it runs once per
-// dataset registration, off the request hot path (the serving layer
-// builds it lazily under a fault point and degrades on failure).
+// BuildModel mines the model from the view's row snapshot: one pairwise
+// code-count sweep over the queriable attributes feeds both the FD
+// miner and the Chow-Liu learner. This is the one deliberately
+// row-scanning part of the package — it runs once per view snapshot,
+// off the request hot path (the serving layer builds it lazily under a
+// fault point and degrades on failure).
 func BuildModel(ctx context.Context, v *dataview.View) (*Model, error) {
 	if err := fault.Hit(ctx, fault.PointSuggestModel); err != nil {
 		return nil, err
@@ -78,15 +80,15 @@ func BuildModel(ctx context.Context, v *dataview.View) (*Model, error) {
 	if len(attrs) < 2 {
 		return nil, fmt.Errorf("suggest: need at least 2 queriable attributes, got %d", len(attrs))
 	}
-	rows := dataset.AllRows(v.Table().NumRows())
-	deps, err := fd.Discover(v, rows, attrs, fd.Options{MaxError: fdMaxError})
+	pc, err := v.CountPairs(nil, attrs)
 	if err != nil {
-		return nil, fmt.Errorf("suggest: FD mining: %w", err)
+		return nil, fmt.Errorf("suggest: counting attribute pairs: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	net, err := bayesnet.Learn(v, rows, attrs, bayesnet.Options{})
+	deps := fd.DiscoverPairs(pc, fd.Options{MaxError: fdMaxError})
+	net, err := bayesnet.LearnPairs(pc, bayesnet.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("suggest: Bayes net: %w", err)
 	}
@@ -98,6 +100,10 @@ func BuildModel(ctx context.Context, v *dataview.View) (*Model, error) {
 	}
 	return m, nil
 }
+
+// MemoryBytes returns the bytes the model's probability tables hold;
+// the mined dependencies add a few hundred bytes at most.
+func (m *Model) MemoryBytes() int { return m.net.MemoryBytes() }
 
 func queriableAttrs(v *dataview.View) []string {
 	schema := v.Table().Schema()
@@ -113,9 +119,14 @@ func queriableAttrs(v *dataview.View) []string {
 // Suggester answers completion and drill-down requests for one dataset.
 // It is safe for concurrent use: all state is immutable after New, and
 // the lazy posting builds it triggers are internally synchronized.
+//
+// Every answer reads the view's row snapshot only. The table may grow
+// past it (ingest appends before the serving view refreshes), so counts
+// come from the view's posting sets, and numeric range probes on the
+// live index are clipped to the snapshot's universe.
 type Suggester struct {
 	view  *dataview.View
-	base  *dataset.Bitmap // full-table universe
+	base  *dataset.Bitmap // the view's whole row snapshot
 	model *Model          // nil = degraded (selectivity-only)
 }
 
@@ -124,7 +135,7 @@ type Suggester struct {
 func New(v *dataview.View, model *Model) *Suggester {
 	return &Suggester{
 		view:  v,
-		base:  dataset.FullBitmap(v.Table().NumRows()),
+		base:  dataset.FullBitmap(v.Rows()),
 		model: model,
 	}
 }
@@ -250,7 +261,6 @@ func (s *Suggester) conjunctPrefix(conjuncts []expr.Expr) (*prefix, error) {
 // sets (categorical) or sorted-order range probes (numeric) — never a
 // row scan.
 func (s *Suggester) predicateBitmap(e expr.Expr) (*dataset.Bitmap, error) {
-	ix := s.view.Table().Index()
 	switch pred := e.(type) {
 	case *expr.Cmp:
 		col, err := s.view.Column(pred.Attr)
@@ -283,17 +293,17 @@ func (s *Suggester) predicateBitmap(e expr.Expr) (*dataset.Bitmap, error) {
 		}
 		switch pred.Op {
 		case expr.Eq:
-			return ix.NumCmpRange(col.Col, c, true, false, false), nil
+			return s.numCmp(col.Col, c, true, false, false), nil
 		case expr.Ne:
-			return s.base.AndNot(ix.NumCmpRange(col.Col, c, true, false, false)), nil
+			return s.base.AndNot(s.numCmp(col.Col, c, true, false, false)), nil
 		case expr.Lt:
-			return ix.NumCmpRange(col.Col, c, false, true, false), nil
+			return s.numCmp(col.Col, c, false, true, false), nil
 		case expr.Le:
-			return ix.NumCmpRange(col.Col, c, true, true, false), nil
+			return s.numCmp(col.Col, c, true, true, false), nil
 		case expr.Gt:
-			return ix.NumCmpRange(col.Col, c, false, false, true), nil
+			return s.numCmp(col.Col, c, false, false, true), nil
 		case expr.Ge:
-			return ix.NumCmpRange(col.Col, c, true, false, true), nil
+			return s.numCmp(col.Col, c, true, false, true), nil
 		}
 		return nil, fmt.Errorf("suggest: unsupported operator %v", pred.Op)
 	case *expr.In:
@@ -314,7 +324,7 @@ func (s *Suggester) predicateBitmap(e expr.Expr) (*dataset.Bitmap, error) {
 				if err != nil {
 					return nil, &dataview.UnknownValueError{Attr: pred.Attr, Value: v}
 				}
-				bm.OrWith(ix.NumCmpRange(col.Col, c, true, false, false))
+				bm.OrWith(s.numCmp(col.Col, c, true, false, false))
 			}
 		}
 		return bm, nil
@@ -326,10 +336,17 @@ func (s *Suggester) predicateBitmap(e expr.Expr) (*dataset.Bitmap, error) {
 		if col.Kind != dataset.Numeric {
 			return nil, fmt.Errorf("suggest: BETWEEN requires a numeric attribute, %q is categorical", pred.Attr)
 		}
-		return ix.NumRange(col.Col, pred.Lo, pred.Hi), nil
+		return s.view.Table().Index().NumRange(col.Col, pred.Lo, pred.Hi).Resize(s.base.Universe()), nil
 	default:
 		return nil, fmt.Errorf("suggest: unsupported predicate %T", e)
 	}
+}
+
+// numCmp resolves a numeric comparison (see dataset.Index.NumCmpRange)
+// over the view's snapshot: the live index may cover rows appended after
+// the view, so its answer is clipped to the view's universe.
+func (s *Suggester) numCmp(col int, c float64, includeEq, below, above bool) *dataset.Bitmap {
+	return s.view.Table().Index().NumCmpRange(col, c, includeEq, below, above).Resize(s.base.Universe())
 }
 
 // selectionPrefix folds a faceted filter set (values OR within an
