@@ -46,22 +46,14 @@ func corrClusterTable() *dataset.Table {
 }
 
 // BenchmarkClusterKernel isolates the Lloyd kernel (seeding +
-// iterations) on the Figure-8 shape at l=15: the pruned default against
-// the exhaustive reference scan, bit-identical outputs. The
-// duplicate-collapse is cached on the fixture after the first call, so
-// the delta between sub-benches is pure kernel time.
+// iterations) on the Figure-8 shape at l=15. The duplicate-collapse is
+// cached on the fixture after the first call, so the timing is pure
+// kernel time.
 func BenchmarkClusterKernel(b *testing.B) {
 	sp := clusterKernelPoints(b)
 	b.Run("pruned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := cluster.KMeans(sp, 15, cluster.Options{Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("exhaustive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cluster.KMeans(sp, 15, cluster.Options{Seed: 1, Exhaustive: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

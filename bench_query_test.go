@@ -28,22 +28,13 @@ func stackExpr(depth int) expr.Expr {
 	return &expr.And{Kids: kids}
 }
 
-// BenchmarkQueryFilterStack measures WHERE-clause evaluation on the 40K
-// used-car table at stack depths 1-5, interpreted (row-at-a-time tree
-// walk) against vectorized (compiled posting-bitmap algebra). Both
-// return identical row sets; see internal/expr/compile_test.go.
+// BenchmarkQueryFilterStack measures WHERE-clause evaluation (compiled
+// posting-bitmap algebra) on the 40K used-car table at stack depths 1-5.
 func BenchmarkQueryFilterStack(b *testing.B) {
 	fixtures(b)
 	tbl := carView.Table()
 	for depth := 1; depth <= len(carStack); depth++ {
 		e := stackExpr(depth)
-		b.Run(fmt.Sprintf("depth=%d/interpreted", depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := expr.SelectInterpreted(tbl, carRows, e); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("depth=%d/vectorized", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := expr.Select(tbl, carRows, e); err != nil {
@@ -56,25 +47,11 @@ func BenchmarkQueryFilterStack(b *testing.B) {
 
 // BenchmarkDigestFilterStack measures one faceted interaction — add the
 // stack's last selection, read the refreshed digest, remove it — at
-// depths 1-5. The interpreted variant recomputes the filtered rows with
-// the row-at-a-time evaluator and summarizes them per row; the
-// vectorized variant is the incremental Session path (cached per-attr
-// bitmaps intersected word-wise, counts via intersect-popcount per
-// posting).
+// depths 1-5 on the incremental Session path (cached per-attr bitmaps
+// intersected word-wise, counts via intersect-popcount per posting).
 func BenchmarkDigestFilterStack(b *testing.B) {
 	fixtures(b)
-	tbl := carView.Table()
 	for depth := 1; depth <= len(carStack); depth++ {
-		e := stackExpr(depth)
-		b.Run(fmt.Sprintf("depth=%d/interpreted", depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows, err := expr.SelectInterpreted(tbl, carRows, e)
-				if err != nil {
-					b.Fatal(err)
-				}
-				facet.Summarize(carView, rows, true)
-			}
-		})
 		b.Run(fmt.Sprintf("depth=%d/vectorized", depth), func(b *testing.B) {
 			sess := facet.NewSession(carView, carRows)
 			for _, sel := range carStack[:depth-1] {
@@ -98,7 +75,7 @@ func BenchmarkDigestFilterStack(b *testing.B) {
 }
 
 // BenchmarkQuerySelectivity evaluates a mixed categorical + numeric
-// stack (the Table 1 WHERE clause shape) through both paths.
+// stack (the Table 1 WHERE clause shape).
 func BenchmarkQuerySelectivity(b *testing.B) {
 	fixtures(b)
 	tbl := carView.Table()
@@ -108,13 +85,6 @@ func BenchmarkQuerySelectivity(b *testing.B) {
 		&expr.Cmp{Attr: "BodyType", Op: expr.Eq, Str: "SUV"},
 		&expr.In{Attr: "Make", Values: []string{"Jeep", "Toyota", "Honda", "Ford", "Chevrolet"}},
 	}}
-	b.Run("interpreted", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := expr.SelectInterpreted(tbl, carRows, e); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("vectorized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := expr.Select(tbl, carRows, e); err != nil {

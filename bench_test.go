@@ -141,32 +141,6 @@ func BenchmarkFig8ResultSize(b *testing.B) {
 	}
 }
 
-// BenchmarkCADViewBuildPath contrasts the row-scan reference pipeline
-// with the bitmap-native build (auto cost dispatch) on the Figure-8
-// worst case, at the 40K full-table result. Same output byte for byte —
-// the equivalence corpus asserts it — so the delta is pure pipeline
-// cost.
-func BenchmarkCADViewBuildPath(b *testing.B) {
-	fixtures(b)
-	for _, bench := range []struct {
-		name string
-		path core.BuildPath
-	}{
-		{"Scan", core.PathScan},
-		{"Bitmap", core.PathAuto},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			cfg := fig8Config(15)
-			cfg.Path = bench.path
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Build(carView, carRows, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFig9GeneratedIUnits sweeps the number of generated IUnits l
 // at a fixed 10K result (Figure 9).
 func BenchmarkFig9GeneratedIUnits(b *testing.B) {
@@ -308,10 +282,6 @@ func BenchmarkAblationClustering(b *testing.B) {
 	fixtures(b)
 	attrs := []string{"Model", "Engine", "Drivetrain", "Price", "Year"}
 	rows := carRows[:8000]
-	points, _, err := cluster.Encode(carView, rows, attrs)
-	if err != nil {
-		b.Fatal(err)
-	}
 	cols := make([]*dataview.Column, len(attrs))
 	cards := make([]int, len(attrs))
 	for i, a := range attrs {
@@ -333,13 +303,6 @@ func BenchmarkAblationClustering(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("kmeans", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cluster.KMeansDense(points, 10, cluster.Options{Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("kmeans-sparse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := cluster.KMeans(sparse, 10, cluster.Options{Seed: 1}); err != nil {
@@ -432,27 +395,15 @@ func BenchmarkAblationSummarizer(b *testing.B) {
 }
 
 // BenchmarkAblationSampledClustering measures §6.3's sampled center
-// fitting against the full fit, for both the sparse production kernel
-// and the dense reference.
+// fitting against the full fit.
 func BenchmarkAblationSampledClustering(b *testing.B) {
 	fixtures(b)
 	attrs := []string{"Model", "Engine", "Drivetrain", "Price", "Year"}
-	points, _, err := cluster.Encode(carView, carRows, attrs)
-	if err != nil {
-		b.Fatal(err)
-	}
 	sparse, _, err := cluster.EncodeSparse(carView, carRows, attrs)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for name, sample := range map[string]int{"full": 0, "sample2K": 2000} {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cluster.KMeansDense(points, 10, cluster.Options{Seed: 1, SampleSize: sample}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(name+"-sparse", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := cluster.KMeans(sparse, 10, cluster.Options{Seed: 1, SampleSize: sample}); err != nil {

@@ -38,37 +38,29 @@ func twoGroupView(t *testing.T, n int, seed int64) (*dataview.View, dataset.RowS
 
 func TestEncode(t *testing.T) {
 	v, rows, _ := twoGroupView(t, 20, 1)
-	p, enc, err := Encode(v, rows, []string{"Engine", "Drive", "Price"})
+	sp, enc, err := EncodeSparse(v, rows, []string{"Engine", "Drive", "Price"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.N != 20 {
-		t.Errorf("N = %d", p.N)
+	if sp.N != 20 || sp.A != 3 {
+		t.Errorf("N, A = %d, %d", sp.N, sp.A)
 	}
 	wantDim := 2 + 2 // Engine, Drive
 	priceCol, _ := v.Column("Price")
 	wantDim += priceCol.Cardinality()
-	if p.Dim != wantDim {
-		t.Errorf("Dim = %d, want %d", p.Dim, wantDim)
+	if sp.Dim != wantDim {
+		t.Errorf("Dim = %d, want %d", sp.Dim, wantDim)
 	}
-	if len(enc.Attrs) != 3 || enc.Offsets[len(enc.Offsets)-1] != p.Dim {
+	if len(enc.Attrs) != 3 || enc.Offsets[len(enc.Offsets)-1] != sp.Dim {
 		t.Errorf("encoding metadata wrong: %+v", enc)
 	}
-	// Every row must have exactly one 1 per attribute block.
-	for i := 0; i < p.N; i++ {
-		row := p.Row(i)
-		for a := range enc.Attrs {
+	// Every row's code must land inside its attribute's block, i.e. the
+	// implicit one-hot row has exactly one 1 per block.
+	for i := 0; i < sp.N; i++ {
+		for a, code := range sp.RowCodes(i) {
 			lo, hi := enc.Block(a)
-			ones := 0
-			for d := lo; d < hi; d++ {
-				if row[d] == 1 {
-					ones++
-				} else if row[d] != 0 {
-					t.Fatalf("non-binary coordinate %g", row[d])
-				}
-			}
-			if ones != 1 {
-				t.Fatalf("row %d attr %d has %d ones", i, a, ones)
+			if code < 0 || int(code) >= hi-lo || int(code) >= enc.Cards[a] {
+				t.Fatalf("row %d attr %d code %d outside block [%d, %d)", i, a, code, lo, hi)
 			}
 		}
 	}
@@ -76,21 +68,27 @@ func TestEncode(t *testing.T) {
 
 func TestEncodeErrors(t *testing.T) {
 	v, rows, _ := twoGroupView(t, 5, 2)
-	if _, _, err := Encode(v, rows, nil); err == nil {
+	if _, _, err := EncodeSparse(v, rows, nil); err == nil {
 		t.Error("no attrs: want error")
 	}
-	if _, _, err := Encode(v, rows, []string{"Nope"}); err == nil {
+	if _, _, err := EncodeSparse(v, rows, []string{"Nope"}); err == nil {
 		t.Error("unknown attr: want error")
 	}
 }
 
-func TestKMeansSeparatesGroups(t *testing.T) {
-	v, rows, truth := twoGroupView(t, 200, 3)
-	p, _, err := Encode(v, rows, []string{"Engine", "Drive", "Price"})
+// encodeGroups encodes twoGroupView's three attributes sparsely.
+func encodeGroups(t *testing.T, v *dataview.View, rows dataset.RowSet) *SparsePoints {
+	t.Helper()
+	sp, _, err := EncodeSparse(v, rows, []string{"Engine", "Drive", "Price"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := KMeansDense(p, 2, Options{Seed: 7})
+	return sp
+}
+
+func TestKMeansSeparatesGroups(t *testing.T) {
+	v, rows, truth := twoGroupView(t, 200, 3)
+	res, err := KMeans(encodeGroups(t, v, rows), 2, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +119,12 @@ func TestKMeansSeparatesGroups(t *testing.T) {
 
 func TestKMeansDeterministicWithSeed(t *testing.T) {
 	v, rows, _ := twoGroupView(t, 100, 4)
-	p, _, _ := Encode(v, rows, []string{"Engine", "Drive", "Price"})
-	r1, err := KMeansDense(p, 3, Options{Seed: 11})
+	sp := encodeGroups(t, v, rows)
+	r1, err := KMeans(sp, 3, Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := KMeansDense(p, 3, Options{Seed: 11})
+	r2, err := KMeans(sp, 3, Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +140,7 @@ func TestKMeansDeterministicWithSeed(t *testing.T) {
 
 func TestKMeansSampledFit(t *testing.T) {
 	v, rows, truth := twoGroupView(t, 1000, 5)
-	p, _, _ := Encode(v, rows, []string{"Engine", "Drive", "Price"})
-	res, err := KMeansDense(p, 2, Options{Seed: 7, SampleSize: 100})
+	res, err := KMeans(encodeGroups(t, v, rows), 2, Options{Seed: 7, SampleSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,53 +161,50 @@ func TestKMeansSampledFit(t *testing.T) {
 	}
 }
 
+// TestKMeansEdgeCases covers the inputs TestSparseKMeansEdgeCases does
+// not: points without attributes, a negative k, a sample no smaller than
+// the point set (which must fit unsampled), and restarts with k > n.
 func TestKMeansEdgeCases(t *testing.T) {
-	if _, err := KMeansDense(nil, 2, Options{}); err == nil {
-		t.Error("nil points: want error")
+	if _, err := KMeans(&SparsePoints{N: 3, A: 0}, 2, Options{}); err == nil {
+		t.Error("no attributes: want error")
 	}
-	if _, err := KMeansDense(&Points{N: 0}, 2, Options{}); err == nil {
-		t.Error("empty points: want error")
+	sp := &SparsePoints{Codes: []int32{0, 1, 2, 0, 1}, N: 5, A: 1, Dim: 3, Offsets: []int{0, 3}}
+	if _, err := KMeans(sp, -1, Options{}); err == nil {
+		t.Error("k=-1: want error")
 	}
-	p := &Points{Data: []float64{0, 1, 2}, N: 3, Dim: 1}
-	if _, err := KMeansDense(p, 0, Options{}); err == nil {
-		t.Error("k=0: want error")
-	}
-	// k > n clamps to n.
-	res, err := KMeansDense(p, 10, Options{})
+	plain, err := KMeans(sp, 2, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.K != 3 {
-		t.Errorf("K = %d, want clamp to 3", res.K)
-	}
-	if res.Inertia != 0 {
-		t.Errorf("one point per center should have zero inertia, got %g", res.Inertia)
-	}
-	// Identical points collapse.
-	same := &Points{Data: []float64{5, 5, 5, 5}, N: 4, Dim: 1}
-	res, err = KMeansDense(same, 2, Options{Seed: 1})
+	whole, err := KMeans(sp, 2, Options{Seed: 4, SampleSize: sp.N})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Inertia != 0 {
-		t.Errorf("identical points inertia = %g", res.Inertia)
+	assertIdentical(t, "sample>=n", plain, whole)
+	res, err := KMeans(sp, 10, Options{Seed: 1, Restarts: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.K != sp.N {
+		t.Errorf("restarted K = %d, want clamp to %d", res.K, sp.N)
 	}
 }
 
-// Property: inertia is non-negative and every assignment is in range.
+// Property: inertia is non-negative, every assignment is in range, and
+// the sizes cover every point.
 func TestKMeansInvariantProperty(t *testing.T) {
 	f := func(raw []uint8, kRaw uint8) bool {
 		if len(raw) < 2 {
 			return true
 		}
 		n := len(raw)
-		p := &Points{Data: make([]float64, n*2), N: n, Dim: 2}
+		sp := &SparsePoints{Codes: make([]int32, n*2), N: n, A: 2, Dim: 32, Offsets: []int{0, 16, 32}}
 		for i, v := range raw {
-			p.Data[i*2] = float64(v % 16)
-			p.Data[i*2+1] = float64(v / 16)
+			sp.Codes[i*2] = int32(v % 16)
+			sp.Codes[i*2+1] = int32(v / 16)
 		}
 		k := int(kRaw)%5 + 1
-		res, err := KMeansDense(p, k, Options{Seed: 3})
+		res, err := KMeans(sp, k, Options{Seed: 3})
 		if err != nil {
 			return false
 		}
@@ -238,15 +232,12 @@ func TestKMeansInvariantProperty(t *testing.T) {
 
 func TestKMeansRestarts(t *testing.T) {
 	v, rows, _ := twoGroupView(t, 300, 6)
-	p, _, err := Encode(v, rows, []string{"Engine", "Drive", "Price"})
+	sp := encodeGroups(t, v, rows)
+	single, err := KMeans(sp, 6, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := KMeansDense(p, 6, Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := KMeansDense(p, 6, Options{Seed: 2, Restarts: 5})
+	multi, err := KMeans(sp, 6, Options{Seed: 2, Restarts: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +245,7 @@ func TestKMeansRestarts(t *testing.T) {
 		t.Errorf("restarts made inertia worse: %g > %g", multi.Inertia, single.Inertia)
 	}
 	// Deterministic under the same options.
-	again, err := KMeansDense(p, 6, Options{Seed: 2, Restarts: 5})
+	again, err := KMeans(sp, 6, Options{Seed: 2, Restarts: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,14 @@ import (
 )
 
 // The pruned kernel (Hamerly/Elkan bounds + delta center updates +
-// cached reseed distances) must be bit-identical to the exhaustive
-// sparse path and to KMeansDense: pruning skips work only when the
-// squared-distance gap provably exceeds the assignment epsilon, so every
-// decision — and therefore every center, reseed draw, and iteration
-// count — is unchanged. These tests pin that across random shapes,
-// sampled fits, empty-cluster reseeds, segment-boundary sizes, and
-// concurrent restarts.
+// cached reseed distances) must be bit-identical to exhaustive Lloyd —
+// the dense reference KMeansDense, which scans every center for every
+// point and re-accumulates every center each iteration: pruning skips
+// work only when the squared-distance gap provably exceeds the
+// assignment epsilon, so every decision — and therefore every center,
+// reseed draw, and iteration count — is unchanged. These tests pin that
+// (through runBoth) across random shapes, both bound regimes, sampled
+// fits, empty-cluster reseeds, segment-boundary sizes, and restarts.
 
 // synthPoints builds matching dense/sparse encodings of n random
 // categorical rows with the given attribute cardinalities.
@@ -46,27 +47,6 @@ func synthPoints(rng *rand.Rand, n int, cards []int) (*Points, *SparsePoints) {
 	return dense, sp
 }
 
-// runAllThree pins KMeansDense == exhaustive sparse == pruned sparse.
-func runAllThree(t *testing.T, tag string, dense *Points, sp *SparsePoints, k int, opt Options) {
-	t.Helper()
-	want, err := KMeansDense(dense, k, opt)
-	if err != nil {
-		t.Fatalf("%s: dense: %v", tag, err)
-	}
-	ex := opt
-	ex.Exhaustive = true
-	exhaustive, err := KMeans(sp, k, ex)
-	if err != nil {
-		t.Fatalf("%s: exhaustive: %v", tag, err)
-	}
-	pruned, err := KMeans(sp, k, opt)
-	if err != nil {
-		t.Fatalf("%s: pruned: %v", tag, err)
-	}
-	assertIdentical(t, tag+"/dense-vs-exhaustive", want, exhaustive)
-	assertIdentical(t, tag+"/dense-vs-pruned", want, pruned)
-}
-
 func TestPrunedMatchesExhaustiveRandomShapes(t *testing.T) {
 	shapes := []struct {
 		n     int
@@ -84,7 +64,7 @@ func TestPrunedMatchesExhaustiveRandomShapes(t *testing.T) {
 		for _, k := range []int{2, elkanMaxK, elkanMaxK + 4} {
 			for seed := int64(0); seed < 3; seed++ {
 				tag := "shape" + string(rune('a'+si))
-				runAllThree(t, tag, dense, sp, k, Options{Seed: seed})
+				runBoth(t, tag, dense, sp, k, Options{Seed: seed})
 			}
 		}
 	}
@@ -94,7 +74,7 @@ func TestPrunedSampledFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	dense, sp := synthPoints(rng, 2000, []int{12, 5, 7})
 	for _, sample := range []int{100, 500, 1999} {
-		runAllThree(t, "sampled", dense, sp, 6, Options{Seed: 2, SampleSize: sample})
+		runBoth(t, "sampled", dense, sp, 6, Options{Seed: 2, SampleSize: sample})
 	}
 }
 
@@ -105,7 +85,7 @@ func TestPrunedEmptyReseed(t *testing.T) {
 	dense, sp := synthPoints(rng, 400, []int{2, 2})
 	for k := 3; k <= 10; k++ {
 		for seed := int64(0); seed < 5; seed++ {
-			runAllThree(t, "reseed", dense, sp, k, Options{Seed: seed})
+			runBoth(t, "reseed", dense, sp, k, Options{Seed: seed})
 		}
 	}
 }
@@ -129,19 +109,22 @@ func TestPrunedSegmentBoundaries(t *testing.T) {
 		}
 		rows := dataset.AllRows(tbl.NumRows())
 		dense, sp := encodeBoth(t, v, rows, []string{"a", "b", "c"})
-		runAllThree(t, "segment", dense, sp, 7, Options{Seed: 1})
+		runBoth(t, "segment", dense, sp, 7, Options{Seed: 1})
 	}
 }
 
 func TestPrunedRestartsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	_, sp := synthPoints(rng, 1200, []int{10, 6, 8})
+	dense, sp := synthPoints(rng, 1200, []int{10, 6, 8})
 	opt := Options{Seed: 5, Restarts: 4}
+	// The concurrent fan-out must return the dense reference's
+	// sequential best-of-restarts bit for bit...
+	runBoth(t, "restarts", dense, sp, 9, opt)
 	first, err := KMeans(sp, 9, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Concurrent fan-out must be reproducible call to call...
+	// ...be reproducible call to call...
 	second, err := KMeans(sp, 9, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -5,34 +5,47 @@ import (
 	"testing"
 )
 
-func blobs(n int, centers [][]float64, spread float64, seed int64) (*Points, []int) {
+// blobs draws n one-hot points around len(protos) categorical prototypes
+// (point i belongs to prototype i mod len(protos)): each point copies its
+// prototype's codes and replaces each one with a uniformly random code of
+// the attribute with probability noise.
+func blobs(n int, protos [][]int32, card int, noise float64, seed int64) (*SparsePoints, []int) {
 	rng := rand.New(rand.NewSource(seed))
-	dim := len(centers[0])
-	p := &Points{Data: make([]float64, n*dim), N: n, Dim: dim}
+	a := len(protos[0])
+	offs := make([]int, a+1)
+	for i := range offs {
+		offs[i] = i * card
+	}
+	sp := &SparsePoints{Codes: make([]int32, n*a), N: n, A: a, Dim: a * card, Offsets: offs}
 	truth := make([]int, n)
 	for i := 0; i < n; i++ {
-		c := i % len(centers)
+		c := i % len(protos)
 		truth[i] = c
-		for d := 0; d < dim; d++ {
-			p.Data[i*dim+d] = centers[c][d] + rng.NormFloat64()*spread
+		for j, code := range protos[c] {
+			if rng.Float64() < noise {
+				code = int32(rng.Intn(card))
+			}
+			sp.Codes[i*a+j] = code
 		}
 	}
-	return p, truth
+	return sp, truth
 }
 
+var twoProtos = [][]int32{{0, 0, 0, 0, 0, 0}, {1, 1, 1, 1, 1, 1}}
+
 func TestSilhouetteWellSeparated(t *testing.T) {
-	p, truth := blobs(200, [][]float64{{0, 0}, {100, 100}}, 1, 1)
-	s, err := Silhouette(p, truth, 2, 0, 1)
+	sp, truth := blobs(200, twoProtos, 8, 0.05, 1)
+	s, err := SilhouetteSparse(sp, truth, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s < 0.9 {
-		t.Errorf("well-separated blobs silhouette = %g, want > 0.9", s)
+	if s < 0.85 {
+		t.Errorf("well-separated blobs silhouette = %g, want > 0.85", s)
 	}
 }
 
 func TestSilhouetteBadClustering(t *testing.T) {
-	p, truth := blobs(200, [][]float64{{0, 0}, {100, 100}}, 1, 2)
+	sp, truth := blobs(200, twoProtos, 8, 0.05, 2)
 	// Scramble: assign points to the wrong cluster half the time.
 	bad := make([]int, len(truth))
 	for i := range bad {
@@ -42,11 +55,11 @@ func TestSilhouetteBadClustering(t *testing.T) {
 			bad[i] = truth[i]
 		}
 	}
-	good, err := Silhouette(p, truth, 2, 0, 1)
+	good, err := SilhouetteSparse(sp, truth, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	poor, err := Silhouette(p, bad, 2, 0, 1)
+	poor, err := SilhouetteSparse(sp, bad, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +70,15 @@ func TestSilhouetteBadClustering(t *testing.T) {
 
 func TestSilhouetteRightKWins(t *testing.T) {
 	// Three true blobs: k=3 k-means should out-score k=2 and k=6.
-	p, _ := blobs(300, [][]float64{{0, 0}, {50, 0}, {0, 50}}, 2, 3)
+	protos := [][]int32{{0, 0, 0, 0, 0, 0}, {1, 1, 1, 1, 1, 1}, {2, 2, 2, 2, 2, 2}}
+	sp, _ := blobs(300, protos, 8, 0.1, 3)
 	scores := map[int]float64{}
 	for _, k := range []int{2, 3, 6} {
-		km, err := KMeansDense(p, k, Options{Seed: 5})
+		km, err := KMeans(sp, k, Options{Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Silhouette(p, km.Assign, km.K, 0, 5)
+		s, err := SilhouetteSparse(sp, km.Assign, km.K, 0, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,12 +90,12 @@ func TestSilhouetteRightKWins(t *testing.T) {
 }
 
 func TestSilhouetteSampled(t *testing.T) {
-	p, truth := blobs(2000, [][]float64{{0, 0}, {100, 100}}, 1, 4)
-	full, err := Silhouette(p, truth, 2, p.N, 1)
+	sp, truth := blobs(2000, twoProtos, 8, 0.05, 4)
+	full, err := SilhouetteSparse(sp, truth, 2, sp.N, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := Silhouette(p, truth, 2, 100, 1)
+	sampled, err := SilhouetteSparse(sp, truth, 2, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,30 +105,30 @@ func TestSilhouetteSampled(t *testing.T) {
 }
 
 func TestSilhouetteEdgeCases(t *testing.T) {
-	p := &Points{Data: []float64{0, 1, 2}, N: 3, Dim: 1}
+	sp := &SparsePoints{Codes: []int32{0, 1, 2}, N: 3, A: 1, Dim: 3, Offsets: []int{0, 3}}
 	// Single cluster: no separation to measure.
-	s, err := Silhouette(p, []int{0, 0, 0}, 1, 0, 1)
+	s, err := SilhouetteSparse(sp, []int{0, 0, 0}, 1, 0, 1)
 	if err != nil || s != 0 {
 		t.Errorf("single cluster: s=%g err=%v", s, err)
 	}
 	// Singleton clusters contribute 0.
-	s, err = Silhouette(p, []int{0, 1, 2}, 3, 0, 1)
+	s, err = SilhouetteSparse(sp, []int{0, 1, 2}, 3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s != 0 {
 		t.Errorf("all-singletons silhouette = %g", s)
 	}
-	if _, err := Silhouette(nil, nil, 1, 0, 1); err == nil {
+	if _, err := SilhouetteSparse(nil, nil, 1, 0, 1); err == nil {
 		t.Error("nil points: want error")
 	}
-	if _, err := Silhouette(p, []int{0}, 1, 0, 1); err == nil {
+	if _, err := SilhouetteSparse(sp, []int{0}, 1, 0, 1); err == nil {
 		t.Error("assignment length mismatch: want error")
 	}
-	if _, err := Silhouette(p, []int{0, 0, 5}, 2, 0, 1); err == nil {
+	if _, err := SilhouetteSparse(sp, []int{0, 0, 5}, 2, 0, 1); err == nil {
 		t.Error("out-of-range assignment: want error")
 	}
-	if _, err := Silhouette(p, []int{0, 0, 0}, 0, 0, 1); err == nil {
+	if _, err := SilhouetteSparse(sp, []int{0, 0, 0}, 0, 0, 1); err == nil {
 		t.Error("k=0: want error")
 	}
 }

@@ -15,9 +15,9 @@ import (
 	"dbexplorer/internal/parallel"
 )
 
-// SparsePoints is the sparse form of the one-hot matrix cluster.Encode
-// produces: row i is fully determined by its per-attribute codes, so only
-// those A integers are stored instead of the Dim-wide dense expansion.
+// SparsePoints is a one-hot encoding kept in sparse form: row i is fully
+// determined by its per-attribute codes, so only those A integers are
+// stored instead of the Dim-wide dense expansion.
 // Row i's implicit dense coordinates are 1 at Offsets[a]+Codes[i*A+a] for
 // every attribute a and 0 elsewhere.
 type SparsePoints struct {
@@ -47,8 +47,8 @@ func (sp *SparsePoints) RowCodes(i int) []int32 { return sp.Codes[i*sp.A : (i+1)
 
 // EncodeSparse encodes the given attributes of the view over rows in
 // sparse form. The i-th point corresponds to rows[i]; the returned
-// Encoding carries the same block metadata cluster.Encode produces, so
-// centroids decode identically.
+// Encoding carries each attribute's block offset and cardinality, so
+// centroids decode back into per-attribute value frequencies.
 func EncodeSparse(v *dataview.View, rows dataset.RowSet, attrs []string) (*SparsePoints, *Encoding, error) {
 	if len(attrs) == 0 {
 		return nil, nil, fmt.Errorf("cluster: no attributes to encode")
@@ -112,8 +112,8 @@ func EncodeSparse(v *dataview.View, rows dataset.RowSet, attrs []string) (*Spars
 		for a := 0; a < span; a++ {
 			c := segs[a][off]
 			if c < 0 {
-				// NaN cells clamp to code 0, matching the dense encoder
-				// and the bitmap encoder's zero-initialized Codes.
+				// NaN cells clamp to code 0, the attribute's first
+				// coordinate (the dense reference encoder does the same).
 				c = 0
 			}
 			row[a] = c
@@ -128,54 +128,6 @@ func EncodeSparse(v *dataview.View, rows dataset.RowSet, attrs []string) (*Spars
 		}
 		if key0 != nil {
 			key0[i] = k
-		}
-	}
-	return sp, enc, nil
-}
-
-// EncodeSparseBitmap encodes the given attributes over the rows of bm in
-// sparse form, reading posting bitmaps instead of per-row code lookups:
-// for each attribute, each code's posting set is intersected with bm and
-// its rows scattered into the code matrix at their rank within bm (a
-// prefix-popcount rank table makes the position an O(1) lookup). Point i
-// corresponds to the i-th smallest row of bm, so the result is identical
-// to EncodeSparse over bm.ToRowSet(). Code-0 postings are never swept:
-// the code matrix is zero-initialized, so their scatter would be a
-// no-op, and on skewed columns code 0 is the heaviest posting.
-func EncodeSparseBitmap(v *dataview.View, bm *dataset.Bitmap, attrs []string) (*SparsePoints, *Encoding, error) {
-	if len(attrs) == 0 {
-		return nil, nil, fmt.Errorf("cluster: no attributes to encode")
-	}
-	enc := &Encoding{Attrs: append([]string(nil), attrs...)}
-	cols := make([]*dataview.Column, len(attrs))
-	dim := 0
-	for i, name := range attrs {
-		c, err := v.Column(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		cols[i] = c
-		enc.Offsets = append(enc.Offsets, dim)
-		enc.Cards = append(enc.Cards, c.Cardinality())
-		dim += c.Cardinality()
-	}
-	enc.Offsets = append(enc.Offsets, dim)
-	n := bm.Len()
-	sp := &SparsePoints{
-		Codes:   make([]int32, n*len(attrs)),
-		N:       n,
-		A:       len(attrs),
-		Dim:     dim,
-		Offsets: enc.Offsets,
-	}
-	rk := bm.Ranks()
-	for a, c := range cols {
-		posts := c.Postings()
-		for code := 1; code < c.Cardinality() && code < len(posts); code++ {
-			cc := int32(code)
-			posts[code].ForEachAnd(bm, func(r int) {
-				sp.Codes[rk.Rank(r)*sp.A+a] = cc
-			})
 		}
 	}
 	return sp, enc, nil
@@ -475,9 +427,9 @@ const boundInflate = 1 + 1e-10
 
 // sparseFit carries the state of one weighted Lloyd fit. Centers are kept
 // dense (k×Dim) — they are small — so the near-tie fallback and the
-// returned Result are byte-compatible with the dense kernel. The pruned
-// kernel additionally tracks, per center, the sorted nonzero coordinate
-// list (for sparse exact distances), a version counter, and the
+// returned Result are byte-compatible with the dense reference. Per
+// center the fit also tracks the sorted nonzero coordinate list (for
+// sparse exact distances) and a version counter; deltaState holds the
 // integer-exact membership sums behind delta center updates.
 type sparseFit struct {
 	a, dim  int
@@ -490,15 +442,14 @@ type sparseFit struct {
 	eps     float64   // near-tie window for the exact-argmin fallback
 	serial  bool      // run chunk loops inline (restart fan-out owns the pool)
 
-	// Pruned-kernel state; nil/empty on the exhaustive reference path.
 	nz    [][]int32 // per center: sorted nonzero coordinates of the row
 	epoch []int32   // per center: bumped whenever the row changes
 
-	// Seeding byproducts (pruned path only): the closest seed per group
-	// with its exact squared distance, and the distance to the second
-	// closest. k-means++ computes every group×seed distance anyway;
-	// tracking the running top-2 makes the first Lloyd assignment pass —
-	// a full k-way scan everywhere else — a free read-off.
+	// Seeding byproducts: the closest seed per group with its exact
+	// squared distance, and the distance to the second closest.
+	// k-means++ computes every group×seed distance anyway; tracking the
+	// running top-2 makes the first Lloyd assignment pass — a full k-way
+	// scan everywhere else — a free read-off.
 	seedOf        []int32
 	seedD2, seed2 []float64
 }
@@ -525,38 +476,14 @@ func (f *sparseFit) dot(codes []int32, c int) float64 {
 	return s
 }
 
-// denseDist replays the dense kernel's sqDist(row, center) term by term —
-// same values, same addition order — so its result is bit-identical to
-// what KMeansDense computes for the expanded row.
-func (f *sparseFit) denseDist(codes []int32, c int) float64 {
-	var s float64
-	a := 0
-	next := f.offs[0] + int(codes[0])
-	for d, cd := range f.centers[c*f.dim : (c+1)*f.dim] {
-		var diff float64
-		if d == next {
-			diff = 1 - cd
-			a++
-			if a < len(codes) {
-				next = f.offs[a] + int(codes[a])
-			} else {
-				next = -1
-			}
-		} else {
-			diff = -cd
-		}
-		s += diff * diff
-	}
-	return s
-}
-
-// distNZ computes denseDist by merge-walking the point's (sorted)
-// one-hot coordinates with the center's sorted nonzero coordinates,
-// adding the surviving terms in the same ascending-coordinate order
-// denseDist uses. Every skipped coordinate has cd == 0 and is not a
-// point coordinate, so its term is exactly +0.0 — an identity under IEEE
-// addition — which makes the result bit-identical to denseDist in
-// O(nnz + A) instead of O(Dim).
+// distNZ computes the exact squared distance between a one-hot point and
+// center c by merge-walking the point's (sorted) one-hot coordinates with
+// the center's sorted nonzero coordinates, adding the surviving terms in
+// ascending-coordinate order — the order the dense reference's
+// Σ_d (x_d − c_d)² loop adds them. Every skipped coordinate has cd == 0
+// and is not a point coordinate, so its term is exactly +0.0 — an
+// identity under IEEE addition — which makes the result bit-identical to
+// the dense distance in O(nnz + A) instead of O(Dim).
 func (f *sparseFit) distNZ(codes []int32, c int) float64 {
 	nz := f.nz[c]
 	row := f.centers[c*f.dim : (c+1)*f.dim]
@@ -591,27 +518,6 @@ func (f *sparseFit) distNZ(codes []int32, c int) float64 {
 	return s
 }
 
-// dist is the exact squared distance used by the near-tie fallback and
-// the inertia sums: the sparse nonzero walk when the pruned kernel
-// maintains nonzero lists, the dense replay otherwise. Both return the
-// same bits.
-func (f *sparseFit) dist(codes []int32, c int) float64 {
-	if f.nz != nil {
-		return f.distNZ(codes, c)
-	}
-	return f.denseDist(codes, c)
-}
-
-func (f *sparseFit) computeCNorm() {
-	for c := 0; c < f.k; c++ {
-		var s float64
-		for _, cd := range f.centers[c*f.dim : (c+1)*f.dim] {
-			s += cd * cd
-		}
-		f.cNorm[c] = s
-	}
-}
-
 // setCenterFromCodes overwrites center c with the one-hot expansion of
 // the given codes (exact 0/1 coordinates).
 func (f *sparseFit) setCenterFromCodes(c int, codes []int32) {
@@ -624,13 +530,10 @@ func (f *sparseFit) setCenterFromCodes(c int, codes []int32) {
 	}
 }
 
-// noteOneHot refreshes the pruned kernel's per-center state after center
-// c was overwritten with the one-hot expansion of codes: nonzero list,
-// squared norm (exactly A ones summed in coordinate order), and version.
+// noteOneHot refreshes the per-center state after center c was
+// overwritten with the one-hot expansion of codes: nonzero list, squared
+// norm (exactly A ones summed in coordinate order), and version.
 func (f *sparseFit) noteOneHot(c int, codes []int32) {
-	if f.nz == nil {
-		return
-	}
 	nz := f.nz[c][:0]
 	for a, code := range codes {
 		nz = append(nz, int32(f.offs[a]+int(code)))
@@ -640,42 +543,33 @@ func (f *sparseFit) noteOneHot(c int, codes []int32) {
 	f.epoch[c]++
 }
 
-// seedPlusPlus mirrors the dense k-means++ seeding over the collapsed
-// groups. All seeding distances are exact integers (centers are one-hot
-// points), and the cumulative D² scan runs in original point order, so
-// every random draw and every pick matches the dense kernel bit for bit.
-// The chosen seed code tuples are returned so the pruned kernel can
-// derive its per-center state without rescanning the dense rows; on the
-// pruned path the per-group closest seed and top-2 distances are stashed
-// on f (tracking them changes no draw and no pick — d2 evolves
-// identically), which is what lets lloydPruned skip its first
-// assignment pass.
+// seedPlusPlus is k-means++ seeding over the collapsed groups. All
+// seeding distances are exact integers (centers are one-hot points), and
+// the cumulative D² scan runs in original point order, so every random
+// draw and every pick matches the dense reference bit for bit. The chosen
+// seed code tuples are returned so the kernel can derive its per-center
+// state without rescanning the dense rows, and the per-group closest seed
+// and top-2 distances are stashed on f (tracking them changes no draw
+// and no pick — d2 evolves identically), which is what lets lloydPruned
+// skip its first assignment pass.
 func (f *sparseFit) seedPlusPlus(rng *rand.Rand) [][]int32 {
 	gs := f.gs
-	track := f.nz != nil
 	seedCodes := make([][]int32, f.k)
 	first := rng.Intn(f.n)
 	seedCodes[0] = gs.rowCodes(int(gs.of[first]))
 	d2 := make([]float64, gs.g)
 	seedOf := make([]int32, gs.g)
 	sd := make([]float64, f.k)
-	var seed2 []float64
-	if track {
-		seed2 = make([]float64, gs.g)
-	}
+	seed2 := make([]float64, gs.g)
 	f.forChunks(gs.g, minChunkGroups, func(lo, hi int) {
 		for g := lo; g < hi; g++ {
 			d2[g] = groupDist2(gs.rowCodes(g), seedCodes[0])
-		}
-		if track {
-			for g := lo; g < hi; g++ {
-				seed2[g] = math.Inf(1)
-			}
+			seed2[g] = math.Inf(1)
 		}
 	})
 	for c := 1; c < f.k; c++ {
 		// All d2 values are integers, so the weighted group sum equals
-		// the dense kernel's per-point sum exactly, in any order.
+		// the dense reference's per-point sum exactly, in any order.
 		var total float64
 		for g, d := range d2 {
 			total += d * float64(gs.weight[g])
@@ -698,9 +592,9 @@ func (f *sparseFit) seedPlusPlus(rng *rand.Rand) [][]int32 {
 		seedCodes[c] = gs.rowCodes(int(gs.of[pick]))
 		// Exact triangle-inequality skip for the update pass: with j the
 		// closest previous seed of group g, d(g,c) ≥ |d(c,j) − d(g,j)|,
-		// so when (√D−√g2)² already reaches the update threshold (seed2
-		// when tracking, d2 otherwise) neither branch below can fire and
-		// the O(A) distance is skipped. The test is done squared —
+		// so when (√D−√g2)² already reaches the update threshold seed2
+		// neither branch below can fire and the O(A) distance is
+		// skipped. The test is done squared —
 		// diff ≥ 0 && diff² ≥ 4·D·g2 with diff = D+g2−lim — which is
 		// algebraically equivalent and, because every quantity is an
 		// integer held in a float64 (lim = +Inf before a group has seen
@@ -711,31 +605,18 @@ func (f *sparseFit) seedPlusPlus(rng *rand.Rand) [][]int32 {
 			sd[j] = groupDist2(seedCodes[c], seedCodes[j])
 		}
 		f.forChunks(gs.g, minChunkGroups, func(lo, hi int) {
-			if track {
-				for g := lo; g < hi; g++ {
-					D, g2 := sd[seedOf[g]], d2[g]
-					if diff := D + g2 - seed2[g]; diff >= 0 && diff*diff >= 4*D*g2 {
-						continue
-					}
-					d := groupDist2(gs.rowCodes(g), seedCodes[c])
-					if d < d2[g] {
-						seed2[g] = d2[g]
-						d2[g] = d
-						seedOf[g] = int32(c)
-					} else if d < seed2[g] {
-						seed2[g] = d
-					}
-				}
-				return
-			}
 			for g := lo; g < hi; g++ {
 				D, g2 := sd[seedOf[g]], d2[g]
-				if D >= 4*g2 {
+				if diff := D + g2 - seed2[g]; diff >= 0 && diff*diff >= 4*D*g2 {
 					continue
 				}
-				if d := groupDist2(gs.rowCodes(g), seedCodes[c]); d < d2[g] {
+				d := groupDist2(gs.rowCodes(g), seedCodes[c])
+				if d < d2[g] {
+					seed2[g] = d2[g]
 					d2[g] = d
 					seedOf[g] = int32(c)
+				} else if d < seed2[g] {
+					seed2[g] = d
 				}
 			}
 		})
@@ -743,16 +624,14 @@ func (f *sparseFit) seedPlusPlus(rng *rand.Rand) [][]int32 {
 	for c := 0; c < f.k; c++ {
 		f.setCenterFromCodes(c, seedCodes[c])
 	}
-	if track {
-		f.seedOf, f.seedD2, f.seed2 = seedOf, d2, seed2
-	}
+	f.seedOf, f.seedD2, f.seed2 = seedOf, d2, seed2
 	return seedCodes
 }
 
 // assignFromSeeding is the pruned kernel's first assignment pass, read
 // off the seeding byproducts instead of scanned: right after k-means++
 // the centers are the seed points, every group×seed distance is an
-// exact integer, and the exhaustive first-pass decision reduces to the
+// exact integer, and the full-scan first-pass decision reduces to the
 // lowest-index argmin of those integers — near-ties in the O(A) score
 // only arise from exactly equal distances (distinct integer d² differ
 // by ≥ 2 ≫ eps), and both the score argmin and its exact fallback keep
@@ -783,10 +662,10 @@ func (f *sparseFit) assignFromSeeding(assign []int32, bs *boundState) {
 	})
 }
 
-// decideGroup runs the exhaustive nearest-center decision for one group:
+// decideGroup runs the full k-way nearest-center decision for one group:
 // the O(A) score scan, then — when two centers score within eps — the
-// exact-distance fallback reproducing the dense kernel's argmin and tie
-// behavior. It additionally reports the second-best score (the Hamerly
+// exact-distance fallback reproducing the dense reference's argmin and
+// tie behavior. It additionally reports the second-best score (the Hamerly
 // lower-bound source) and, when the fallback ran, the exact squared
 // distance to the winner. scores must have length k.
 func (f *sparseFit) decideGroup(codes []int32, scores []float64) (best int, bestS, secondS, exactD float64, haveExact bool) {
@@ -815,7 +694,7 @@ func (f *sparseFit) decideGroup(codes []int32, scores []float64) (best int, best
 			if scores[c] > limit {
 				continue
 			}
-			if d := f.dist(codes, c); d < bestD {
+			if d := f.distNZ(codes, c); d < bestD {
 				best, bestD = c, d
 			}
 		}
@@ -825,29 +704,21 @@ func (f *sparseFit) decideGroup(codes []int32, scores []float64) (best int, best
 }
 
 // assignGroups assigns every group to its nearest center with a full
-// k-way scan per group — the exhaustive reference pass. The O(A) score
-// ‖c‖² − 2·⟨x,c⟩ orders centers like the true distance up to float
-// rounding; when two centers score within eps the fallback re-evaluates
-// the tied candidates with the exact distance, reproducing the dense
-// kernel's argmin (including its tie behavior) exactly.
-func (f *sparseFit) assignGroups(assign []int32) bool {
+// k-way scan per group, no bounds consulted — the final pass over every
+// point after a sampled or unconverged fit. The O(A) score ‖c‖² − 2·⟨x,c⟩
+// orders centers like the true distance up to float rounding; when two
+// centers score within eps the fallback re-evaluates the tied candidates
+// with the exact distance, reproducing the dense reference's argmin
+// (including its tie behavior) exactly.
+func (f *sparseFit) assignGroups(assign []int32) {
 	gs := f.gs
-	var changed atomic.Bool
 	f.forChunks(gs.g, minChunkGroups, func(lo, hi int) {
 		scores := make([]float64, f.k)
-		chunkChanged := false
 		for g := lo; g < hi; g++ {
 			best, _, _, _, _ := f.decideGroup(gs.rowCodes(g), scores)
-			if assign[g] != int32(best) {
-				assign[g] = int32(best)
-				chunkChanged = true
-			}
-		}
-		if chunkChanged {
-			changed.Store(true)
+			assign[g] = int32(best)
 		}
 	})
-	return changed.Load()
 }
 
 // boundState carries the pruned kernel's per-group distance bounds and
@@ -901,10 +772,10 @@ func (bs *boundState) invalidate() {
 // relevant drifts — the triangle inequality), then skips the k-way scan
 // entirely when the bounds prove the assigned center is still the
 // strict winner by a squared-distance gap larger than eps: in that case
-// the exhaustive decision — score argmin or exact-distance fallback,
+// the full-scan decision — score argmin or exact-distance fallback,
 // either of which errs by ≪ eps — provably keeps the current
 // assignment, so skipping is bit-identical. Groups that cannot be
-// skipped run the same decideGroup the exhaustive pass runs and refresh
+// skipped run that full-scan decision (decideGroup) and refresh
 // their bounds from its scores (score + A converts to squared distance
 // within eps of exact; ‖x‖² = A exactly for one-hot rows).
 func (f *sparseFit) assignGroupsPruned(assign []int32, bs *boundState) bool {
@@ -986,16 +857,15 @@ func (f *sparseFit) assignGroupsPruned(assign []int32, bs *boundState) bool {
 // updates: sums holds, per center coordinate, the total weight of member
 // groups carrying that coordinate — always an exact integer in float64 —
 // and counts the member point totals. Dividing sums by counts reproduces
-// the exhaustive zero-scatter-scale recomputation bit for bit, because
-// float64 integer adds and subtracts below 2⁵³ are exact and therefore
-// order- and history-independent.
+// the dense reference's zero-scatter-scale recomputation bit for bit,
+// because float64 integer adds and subtracts below 2⁵³ are exact and
+// therefore order- and history-independent.
 type deltaState struct {
-	sums    []float64 // k×Dim membership-weight sums
-	counts  []int
-	prev    []int32 // previous assignment (-1 before the first update)
-	dirty   []bool  // center gained/lost weight this iteration
-	reseed  []bool  // center was teleported by reseedEmpty: must recompute
-	hasPrev bool
+	sums   []float64 // k×Dim membership-weight sums
+	counts []int
+	prev   []int32 // previous assignment (-1 before the first update)
+	dirty  []bool  // center gained/lost weight this iteration
+	reseed []bool  // center was teleported by a reseed: must recompute
 }
 
 func newDeltaState(g, k, dim int) *deltaState {
@@ -1010,7 +880,7 @@ func newDeltaState(g, k, dim int) *deltaState {
 		ds.prev[i] = -1
 	}
 	// Every center starts out of sync with its (empty) accumulators: the
-	// exhaustive path rebuilds all rows each iteration, so a seeded
+	// dense reference rebuilds all rows each iteration, so a seeded
 	// center that attracts no members on the first pass must still be
 	// zeroed by the first update.
 	for c := range ds.reseed {
@@ -1023,12 +893,12 @@ func newDeltaState(g, k, dim int) *deltaState {
 // only the weight of groups whose assignment changed, then rebuilding
 // the rows of centers whose membership (or position, after a reseed)
 // changed: row = sums·(1/count), the same product of the same exact
-// integers the exhaustive path computes, so unchanged centers keep
+// integers the dense reference computes, so unchanged centers keep
 // bitwise-identical rows without touching them. Emptied centers zero
-// their rows exactly like the exhaustive zero-scatter pass leaves them.
+// their rows exactly like the reference's zero-scatter pass leaves them.
 // Per dirty center it also refreshes the nonzero list and squared norm
 // (summed in coordinate order, skipping exact zeros — the same float as
-// a full-row computeCNorm) and records the center's inflated drift for
+// summing every coordinate's square) and records the center's inflated drift for
 // the next bound-maintenance pass. Returns the empty centers.
 func (f *sparseFit) updateCentersDelta(assign []int32, ds *deltaState, bs *boundState) []int {
 	gs := f.gs
@@ -1116,11 +986,11 @@ func (f *sparseFit) updateCentersDelta(assign []int32, ds *deltaState, bs *bound
 	return empty
 }
 
-// reseedFrom mirrors the dense reseeding decision given each group's
-// distance to its assigned center: empty centers move to the points
-// farthest from their assigned centers, distinct points only. The
+// reseedFrom mirrors the dense reference's reseeding decision given each
+// group's distance to its assigned center: empty centers move to the
+// points farthest from their assigned centers, distinct points only. The
 // candidate array, its deterministic sort, and every pick match the
-// dense kernel; the indices of centers actually seeded are returned.
+// reference; the indices of centers actually seeded are returned.
 func (f *sparseFit) reseedFrom(dg []float64, empty []int) []int {
 	gs := f.gs
 	type cand struct {
@@ -1149,27 +1019,13 @@ func (f *sparseFit) reseedFrom(dg []float64, empty []int) []int {
 	return seeded
 }
 
-// reseedEmpty is the exhaustive-path reseed: distances come from the
-// exact per-group distance so the candidate array — and therefore the
-// deterministic sort and every pick — matches the dense kernel.
-func (f *sparseFit) reseedEmpty(assign []int32, empty []int) {
-	gs := f.gs
-	dg := make([]float64, gs.g)
-	f.forChunks(gs.g, minChunkGroups, func(lo, hi int) {
-		for g := lo; g < hi; g++ {
-			dg[g] = f.dist(gs.rowCodes(g), int(assign[g]))
-		}
-	})
-	f.reseedFrom(dg, empty)
-}
-
-// reseedEmptyCached is the pruned-path reseed: per group the exact
+// reseedEmptyCached re-seeds empty centers. Per group the exact
 // distance to its assigned center is reused from the assignment pass's
 // fallback cache whenever that center has not moved since (epoch match)
 // and recomputed through the sparse nonzero walk otherwise — the same
 // bits either way. Seeded centers get their one-hot state refreshed and
 // are marked for a forced row recomputation on the next update (the
-// exhaustive path rebuilds every center from scratch each iteration, so
+// dense reference rebuilds every center from scratch each iteration, so
 // a reseeded center whose membership does not change must still be
 // replaced by its membership mean). Teleports break drift maintenance,
 // so all bounds are invalidated.
@@ -1214,9 +1070,9 @@ func (f *sparseFit) reseedEmptyCached(assign []int32, empty []int, ds *deltaStat
 // duplicate-collapsed points with O(A) distances instead of O(Dim),
 // pruned by Hamerly/Elkan distance bounds so converged groups skip the
 // k-way scan, and its Result — assignments, centers, inertia, iteration
-// count — is bit-identical to KMeansDense on the equivalent dense
-// encoding and to the exhaustive reference path (Options.Exhaustive);
-// see DESIGN.md §16 for the equivalence argument. With Restarts > 1 the
+// count — is bit-identical to textbook dense Lloyd on the equivalent
+// dense one-hot encoding (the reference in dense_test.go); see DESIGN.md
+// §16 for the equivalence argument. With Restarts > 1 the
 // restarts fan out over the shared worker pool with independent rng
 // streams and the winner — lowest inertia, earliest restart on ties — is
 // the same result the sequential loop returns.
@@ -1312,108 +1168,13 @@ func kmeansSparseOnce(ctx context.Context, sp *SparsePoints, k int, opt Options)
 		eps:     eps,
 		serial:  opt.serialInner,
 	}
-	if opt.Exhaustive {
-		return f.lloydExhaustive(ctx, sp, full, fit, rng, k, opt)
-	}
 	return f.lloydPruned(ctx, sp, full, fit, rng, k, opt, sampled)
 }
 
-// lloydExhaustive is the reference Lloyd loop: a full k-way scan per
-// group per iteration, full center re-accumulation, and a final
-// assignment pass over every point. It is kept verbatim (plus stage
-// timers) as the in-binary baseline the pruned kernel is pinned against
-// and benchmarked over.
-func (f *sparseFit) lloydExhaustive(ctx context.Context, sp *SparsePoints, full, fit *groupSet, rng *rand.Rand, k int, opt Options) (*Result, error) {
-	var st StageTimes
-	t := time.Now()
-	f.seedPlusPlus(rng)
-	st.Seed += time.Since(t)
-
-	assign := make([]int32, fit.g)
-	counts := make([]int, k)
-	iters := 0
-	for ; iters < opt.MaxIter; iters++ {
-		// Cancellation checkpoint: one Lloyd iteration is the unit of
-		// abortable work in the clustering hot loop.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		t = time.Now()
-		f.computeCNorm()
-		changed := f.assignGroups(assign)
-		st.Assign += time.Since(t)
-		if !changed && iters > 0 {
-			break
-		}
-		// Recompute centers: scatter-add group weights over codes. The
-		// accumulated coordinates are exact integers, equal to the dense
-		// kernel's per-point sums, then scaled by the same reciprocal.
-		t = time.Now()
-		for i := range f.centers {
-			f.centers[i] = 0
-		}
-		for i := range counts {
-			counts[i] = 0
-		}
-		for g := 0; g < fit.g; g++ {
-			c := int(assign[g])
-			w := fit.weight[g]
-			counts[c] += w
-			base := c * f.dim
-			for a, code := range fit.rowCodes(g) {
-				f.centers[base+f.offs[a]+int(code)] += float64(w)
-			}
-		}
-		var empty []int
-		for c := 0; c < k; c++ {
-			if counts[c] == 0 {
-				empty = append(empty, c)
-				continue
-			}
-			inv := 1 / float64(counts[c])
-			for d := 0; d < f.dim; d++ {
-				f.centers[c*f.dim+d] *= inv
-			}
-		}
-		st.Update += time.Since(t)
-		if len(empty) > 0 {
-			t = time.Now()
-			f.reseedEmpty(assign, empty)
-			st.Reseed += time.Since(t)
-		}
-	}
-
-	// Final assignment of every point (covers the sampled-fit path too),
-	// then inertia accumulated in original row order from per-group
-	// exact distances — bit-identical to the dense kernel's sum.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t = time.Now()
-	f.computeCNorm()
-	f.gs, f.n = full, sp.N
-	fullAssign := make([]int32, full.g)
-	f.assignGroups(fullAssign)
-	dist := make([]float64, full.g)
-	f.forChunks(full.g, minChunkGroups, func(lo, hi int) {
-		for g := lo; g < hi; g++ {
-			dist[g] = f.dist(full.rowCodes(g), int(fullAssign[g]))
-		}
-	})
-	finalAssign := make([]int, sp.N)
-	inertia := 0.0
-	for i := 0; i < sp.N; i++ {
-		g := full.of[i]
-		finalAssign[i] = int(fullAssign[g])
-		inertia += dist[g]
-	}
-	st.Assign += time.Since(t)
-	return &Result{K: k, Assign: finalAssign, Centers: f.centers, Inertia: inertia, Iters: iters, Stages: st}, nil
-}
-
-// lloydPruned is the production Lloyd loop: identical decisions to
-// lloydExhaustive — and therefore bit-identical output — reached with a
-// fraction of the work. Per iteration it (1) skips the k-way scan for
+// lloydPruned is the Lloyd loop: identical decisions to textbook Lloyd
+// (a full k-way scan per point, full center re-accumulation) — and
+// therefore bit-identical output — reached with a fraction of the work.
+// Per iteration it (1) skips the k-way scan for
 // every group whose maintained distance bounds prove its assigned center
 // still wins by more than the near-tie window, (2) recomputes only the
 // centers whose membership changed, by moving group weights between
@@ -1447,7 +1208,7 @@ func (f *sparseFit) lloydPruned(ctx context.Context, sp *SparsePoints, full, fit
 		changed := true
 		if iters == 0 {
 			// The first pass is a read-off of the seeding byproducts;
-			// it always counts as changed, exactly like the exhaustive
+			// it always counts as changed, exactly like the full-scan
 			// pass from the zero-initialized assignment.
 			f.assignFromSeeding(assign, bs)
 		} else {

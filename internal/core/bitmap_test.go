@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
-	"dbexplorer/internal/cluster"
+	"dbexplorer/internal/datagen"
 	"dbexplorer/internal/dataset"
+	"dbexplorer/internal/dataview"
 )
 
 // randomRows draws a random subset of [0, n) as a sorted row set and the
@@ -25,31 +28,57 @@ func randomRows(rng *rand.Rand, n int) (dataset.RowSet, *dataset.Bitmap) {
 }
 
 // TestResolvePivotValuesBitmapMatchesScan is the partition property test:
-// over random result subsets, both pivot resolvers must produce the same
-// value order and identical per-value row subsets — default order and
-// explicit values, categorical and numeric pivots.
+// over random result subsets, the posting-driven resolver must produce
+// the row-scan reference's value order and identical per-value row
+// subsets — default order and explicit values, categorical and numeric
+// pivots — on a small table and on tables whose row counts sit inside
+// one 64K segment, one row past a segment edge, and on two full
+// segments.
 func TestResolvePivotValuesBitmapMatchesScan(t *testing.T) {
 	v, _ := miniCars(t, 500, 3)
+	checkResolvePivotValues(t, v, []string{"Make", "Price"}, []string{"Alpha", "Gamma"}, 15)
+	for _, n := range []int{40000, dataset.SegmentSize + 1, 2 * dataset.SegmentSize} {
+		tbl := datagen.ZipfTable(fmt.Sprintf("boundary%d", n), n, []datagen.ZipfColumn{
+			{Name: "c0", Card: 50, S: 1.3},
+			{Name: "c1", Card: 40, S: 1.2},
+		}, int64(n))
+		bv, err := dataview.New(tbl, dataview.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkResolvePivotValues(t, bv, []string{"c0", "score"}, []string{"v0003", "v0000"}, 3)
+	}
+}
+
+// checkResolvePivotValues compares the two pivot resolvers on trials
+// random subsets of v's rows (every third trial with explicit values:
+// catExplicit for categorical pivots, the first two labels otherwise),
+// plus the full row set.
+func checkResolvePivotValues(t *testing.T, v *dataview.View, pivots, catExplicit []string, trials int) {
+	t.Helper()
 	n := v.Table().NumRows()
-	for _, pivot := range []string{"Make", "Price"} {
+	for _, pivot := range pivots {
 		pivotCol, err := v.Column(pivot)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for trial := 0; trial < 15; trial++ {
-			rng := rand.New(rand.NewSource(int64(trial)*31 + 7))
-			rows, bm := randomRows(rng, n)
+		for trial := 0; trial <= trials; trial++ {
+			rows, bm := dataset.AllRows(n), dataset.FullBitmap(n)
+			if trial < trials {
+				rng := rand.New(rand.NewSource(int64(trial)*31 + 7))
+				rows, bm = randomRows(rng, n)
+			}
 			if len(rows) == 0 {
 				continue
 			}
 			var explicit []string
 			if trial%3 == 1 {
-				explicit = []string{"Alpha", "Gamma"}
-				if pivot == "Price" {
+				explicit = catExplicit
+				if pivotCol.Kind == dataset.Numeric {
 					explicit = pivotCol.Labels()[:2]
 				}
 			}
-			wantVals, wantRows, err := resolvePivotValues(v, pivotCol, rows, explicit)
+			wantVals, wantRows, err := resolvePivotValues(pivotCol, rows, explicit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,14 +87,14 @@ func TestResolvePivotValuesBitmapMatchesScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(wantVals, gotVals) {
-				t.Fatalf("pivot %s trial %d: values = %v, want %v", pivot, trial, gotVals, wantVals)
+				t.Fatalf("n=%d pivot %s trial %d: values = %v, want %v", n, pivot, trial, gotVals, wantVals)
 			}
 			for _, val := range wantVals {
 				if !reflect.DeepEqual([]int(wantRows[val]), []int(gotRows[val])) {
-					t.Fatalf("pivot %s trial %d: rows[%s] = %v, want %v", pivot, trial, val, gotRows[val], wantRows[val])
+					t.Fatalf("n=%d pivot %s trial %d: rows[%s] differ (%d vs %d rows)", n, pivot, trial, val, len(gotRows[val]), len(wantRows[val]))
 				}
 				if b := gotBms[val]; b != nil && !reflect.DeepEqual([]int(b.ToRowSet()), []int(wantRows[val])) {
-					t.Fatalf("pivot %s trial %d: bitmap[%s] disagrees with rows", pivot, trial, val)
+					t.Fatalf("n=%d pivot %s trial %d: bitmap[%s] disagrees with rows", n, pivot, trial, val)
 				}
 			}
 		}
@@ -73,8 +102,9 @@ func TestResolvePivotValuesBitmapMatchesScan(t *testing.T) {
 }
 
 // TestSampleRowsBitmapMatchesSampleRows pins the bitmap sampler to the
-// scan sampler position for position — the sample feeds the class remap,
-// so even a reordering of identical rows would change downstream output.
+// row-slice reference sampler position for position — the sample feeds
+// the class remap, so even a reordering of identical rows would change
+// downstream output.
 func TestSampleRowsBitmapMatchesSampleRows(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 11))
@@ -93,38 +123,10 @@ func TestSampleRowsBitmapMatchesSampleRows(t *testing.T) {
 	}
 }
 
-// TestEncodeSparseBitmapMatchesEncodeSparse checks the posting-driven
-// sparse encoder produces the identical code matrix to the row scan.
-func TestEncodeSparseBitmapMatchesEncodeSparse(t *testing.T) {
-	v, _ := miniCars(t, 400, 5)
-	n := v.Table().NumRows()
-	attrs := []string{"Model", "Engine", "Price", "Color"}
-	for trial := 0; trial < 10; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial) * 13))
-		rows, bm := randomRows(rng, n)
-		if len(rows) == 0 {
-			continue
-		}
-		want, wantEnc, err := cluster.EncodeSparse(v, rows, attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotEnc, err := cluster.EncodeSparseBitmap(v, bm, attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want.Codes, got.Codes) || want.N != got.N || want.Dim != got.Dim {
-			t.Fatalf("trial %d: sparse encodings differ", trial)
-		}
-		if !reflect.DeepEqual(wantEnc, gotEnc) {
-			t.Fatalf("trial %d: encoding metadata differs", trial)
-		}
-	}
-}
-
 // TestBuildPathsByteIdentical is the top-level bit-identity guarantee:
-// the scan, auto, and forced-bitmap pipelines must render byte-identical
-// CAD Views across a spread of configurations.
+// the production build must render a CAD View byte-identical to, and
+// structurally equal with, the row-scan reference build (scanBuild)
+// across a spread of configurations.
 func TestBuildPathsByteIdentical(t *testing.T) {
 	v, rows := miniCars(t, 700, 21)
 	configs := []Config{
@@ -137,25 +139,19 @@ func TestBuildPathsByteIdentical(t *testing.T) {
 		{Pivot: "Make", AutoL: true, K: 2, Seed: 6},
 	}
 	for i, cfg := range configs {
-		scan := cfg
-		scan.Path = PathScan
-		want, _, err := Build(v, rows, scan)
+		want, err := scanBuild(context.Background(), v, rows, cfg)
 		if err != nil {
-			t.Fatalf("config %d scan: %v", i, err)
+			t.Fatalf("config %d scan reference: %v", i, err)
 		}
-		for _, path := range []BuildPath{PathAuto, PathBitmap} {
-			run := cfg
-			run.Path = path
-			got, _, err := Build(v, rows, run)
-			if err != nil {
-				t.Fatalf("config %d path %d: %v", i, path, err)
-			}
-			if Render(want, nil) != Render(got, nil) {
-				t.Errorf("config %d path %d: rendered CAD View differs from scan path", i, path)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("config %d path %d: CAD View structure differs from scan path", i, path)
-			}
+		got, _, err := Build(v, rows, cfg)
+		if err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+		if Render(want, nil) != Render(got, nil) {
+			t.Errorf("config %d: rendered CAD View differs from the scan reference", i)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("config %d: CAD View structure differs from the scan reference", i)
 		}
 	}
 }

@@ -73,34 +73,14 @@ type Config struct {
 	// identical to the sequential build (all randomness is seeded per
 	// pivot value); only wall-clock changes.
 	Parallel bool
-	// Path selects the build implementation. PathAuto (the default) runs
-	// the posting-bitmap pipeline with per-stage cost dispatch; PathScan
-	// forces the row-at-a-time reference path; PathBitmap forces bitmap
-	// algebra even where a scan would be cheaper. All three produce
-	// byte-identical CAD Views — the knob exists for equivalence tests
-	// and benchmarks.
-	Path BuildPath
 	// Labeling controls cluster label construction.
 	Labeling LabelOptions
 
 	// defaultRanker records whether Ranker was left nil and filled by
-	// withDefaults — only then may the bitmap path substitute the
-	// contingency sweep's bitmap form for the ranker call.
+	// withDefaults — only then may the build substitute the contingency
+	// sweep's bitmap form for the ranker call.
 	defaultRanker bool
 }
-
-// BuildPath selects between the bitmap-native build pipeline and the
-// row-scan reference implementation.
-type BuildPath int
-
-const (
-	// PathAuto uses posting bitmaps with per-candidate cost dispatch.
-	PathAuto BuildPath = iota
-	// PathScan forces the row-at-a-time reference pipeline.
-	PathScan
-	// PathBitmap forces bitmap algebra in every stage.
-	PathBitmap
-)
 
 func (c Config) withDefaults() Config {
 	if c.MaxCompare <= 0 {
@@ -132,7 +112,7 @@ func (c Config) withDefaults() Config {
 // it: posting-index warm-up, Compare Attribute selection, IUnit
 // generation (clustering), and everything else (labeling, ranking,
 // top-k, similarity). Index is the one-off cost of building the posting
-// bitmaps the bitmap pipeline consumes; it lands on the first build over
+// bitmaps the build consumes; it lands on the first build over
 // a table and is ~0 afterwards. Keeping it as its own stage stops that
 // warm-up from being misattributed to feature selection in EXPLAIN and
 // diagnostics.
@@ -204,69 +184,41 @@ func BuildContext(ctx context.Context, v *dataview.View, rows dataset.RowSet, cf
 		return nil, tm, fmt.Errorf("core: empty result set")
 	}
 
-	// The bitmap pipeline enters bitmap algebra once at the top: pack the
-	// result set and warm every column's posting sets, so the one-off
-	// posting construction is attributed to the Index stage instead of
-	// smeared over feature selection. On a warm table this stage is the
-	// cost of packing one bitmap.
-	useBitmap := cfg.Path != PathScan
-	var bm *dataset.Bitmap
-	if useBitmap {
-		start := time.Now()
-		bm = rows.Bitmap(v.Rows())
-		warmPivotPostings(v, cfg.Pivot)
-		tm.Index = time.Since(start)
-	}
+	// The build enters bitmap algebra once at the top: pack the result
+	// set and warm the pivot's posting sets, so the one-off posting
+	// construction is attributed to the Index stage instead of smeared
+	// over feature selection. On a warm table this stage is the cost of
+	// packing one bitmap.
+	start := time.Now()
+	bm := rows.Bitmap(v.Rows())
+	warmPivotPostings(v, cfg.Pivot)
+	tm.Index = time.Since(start)
 
 	// Resolve pivot values and their row subsets.
-	var (
-		pivotValues []string
-		rowsByValue map[string]dataset.RowSet
-		bmByValue   map[string]*dataset.Bitmap
-	)
-	if useBitmap {
-		pivotValues, rowsByValue, bmByValue, err = resolvePivotValuesBitmap(pivotCol, bm, cfg.PivotValues)
-	} else {
-		pivotValues, rowsByValue, err = resolvePivotValues(v, pivotCol, rows, cfg.PivotValues)
-	}
+	pivotValues, rowsByValue, bmByValue, err := resolvePivotValuesBitmap(pivotCol, bm, cfg.PivotValues)
 	if err != nil {
 		return nil, tm, err
 	}
 
 	// Problem 1.1: Compare Attribute selection over the rows that carry
-	// the selected pivot values.
-	var compareAttrs []string
-	if useBitmap {
-		// With default (all-present) pivot values the union of the
-		// per-value posting intersections is exactly the result set.
-		bmV := bm
-		if len(cfg.PivotValues) > 0 {
-			bmV = dataset.NewBitmap(bm.Universe())
-			for _, val := range pivotValues {
-				if b := bmByValue[val]; b != nil {
-					bmV.OrWith(b)
-				}
+	// the selected pivot values. With default (all-present) pivot values
+	// the union of the per-value posting intersections is exactly the
+	// result set.
+	bmV := bm
+	if len(cfg.PivotValues) > 0 {
+		bmV = dataset.NewBitmap(bm.Universe())
+		for _, val := range pivotValues {
+			if b := bmByValue[val]; b != nil {
+				bmV.OrWith(b)
 			}
 		}
-		if bmV.Len() == 0 {
-			return nil, tm, fmt.Errorf("core: no result rows carry the selected pivot values")
-		}
-		start := time.Now()
-		compareAttrs, err = selectCompareAttrsBitmap(ctx, v, bmV, cfg)
-		tm.CompareSelect = time.Since(start)
-	} else {
-		rowsV := make(dataset.RowSet, 0, len(rows))
-		for _, val := range pivotValues {
-			rowsV = append(rowsV, rowsByValue[val]...)
-		}
-		sort.Ints(rowsV)
-		if len(rowsV) == 0 {
-			return nil, tm, fmt.Errorf("core: no result rows carry the selected pivot values")
-		}
-		start := time.Now()
-		compareAttrs, err = selectCompareAttrs(ctx, v, rowsV, cfg)
-		tm.CompareSelect = time.Since(start)
 	}
+	if bmV.Len() == 0 {
+		return nil, tm, fmt.Errorf("core: no result rows carry the selected pivot values")
+	}
+	start = time.Now()
+	compareAttrs, err := selectCompareAttrsBitmap(ctx, v, bmV, cfg)
+	tm.CompareSelect = time.Since(start)
 	if err != nil {
 		return nil, tm, err
 	}
@@ -285,18 +237,12 @@ func BuildContext(ctx context.Context, v *dataview.View, rows dataset.RowSet, cf
 	for _, val := range pivotValues {
 		view.Rows = append(view.Rows, &PivotRow{Value: val, Count: len(rowsByValue[val])})
 	}
-	bmFor := func(val string) *dataset.Bitmap {
-		if bmByValue == nil {
-			return nil
-		}
-		return bmByValue[val]
-	}
 	if cfg.Parallel {
 		errs := make([]error, len(pivotValues))
 		times := make([]Timings, len(pivotValues))
 		parallel.Do(len(pivotValues), func(vi int) {
 			val := view.Rows[vi].Value
-			errs[vi] = buildPivotRow(ctx, v, view, view.Rows[vi], rowsByValue[val], bmFor(val), cfg, int64(vi), &times[vi])
+			errs[vi] = buildPivotRow(ctx, v, view, view.Rows[vi], rowsByValue[val], cfg, int64(vi), &times[vi])
 		})
 		for vi := range pivotValues {
 			if errs[vi] != nil {
@@ -309,7 +255,7 @@ func BuildContext(ctx context.Context, v *dataview.View, rows dataset.RowSet, cf
 	} else {
 		for vi := range pivotValues {
 			val := view.Rows[vi].Value
-			if err := buildPivotRow(ctx, v, view, view.Rows[vi], rowsByValue[val], bmFor(val), cfg, int64(vi), &tm); err != nil {
+			if err := buildPivotRow(ctx, v, view, view.Rows[vi], rowsByValue[val], cfg, int64(vi), &tm); err != nil {
 				return nil, tm, err
 			}
 		}
@@ -319,14 +265,8 @@ func BuildContext(ctx context.Context, v *dataview.View, rows dataset.RowSet, cf
 
 // buildPivotRow runs Problems 1.2 and 2 for one pivot value: encode,
 // cluster (with the fixed-l or auto-l policy), label, score, and keep
-// the diversified top-k. Timing accumulates into tm. Encoding always
-// uses the per-row scan unless PathBitmap forces the posting-scatter
-// encoder: the scan does one cached segmented code load per (row,
-// attribute) cell, while the scatter pays a closure call plus a rank
-// lookup per cell on top of the posting AND — profiling shows the scan
-// wins across pivot-value selectivities, and the two encoders produce
-// identical code matrices, so this is purely a time dispatch.
-func buildPivotRow(ctx context.Context, v *dataview.View, view *CADView, row *PivotRow, rowsVal dataset.RowSet, bmVal *dataset.Bitmap, cfg Config, valIndex int64, tm *Timings) error {
+// the diversified top-k. Timing accumulates into tm.
+func buildPivotRow(ctx context.Context, v *dataview.View, view *CADView, row *PivotRow, rowsVal dataset.RowSet, cfg Config, valIndex int64, tm *Timings) error {
 	if len(rowsVal) == 0 {
 		return nil
 	}
@@ -334,13 +274,7 @@ func buildPivotRow(ctx context.Context, v *dataview.View, view *CADView, row *Pi
 		return err
 	}
 	startCluster := time.Now()
-	var points *cluster.SparsePoints
-	var err error
-	if bmVal != nil && cfg.Path == PathBitmap {
-		points, _, err = cluster.EncodeSparseBitmap(v, bmVal, view.CompareAttrs)
-	} else {
-		points, _, err = cluster.EncodeSparse(v, rowsVal, view.CompareAttrs)
-	}
+	points, _, err := cluster.EncodeSparse(v, rowsVal, view.CompareAttrs)
 	if err != nil {
 		return err
 	}
@@ -370,9 +304,7 @@ func buildPivotRow(ctx context.Context, v *dataview.View, view *CADView, row *Pi
 
 // fitClusters produces the candidate-IUnit clustering: either a single
 // k-means run at l = cfg.L, or — with AutoL — the best-silhouette run
-// over the plausible l range [K, max(L, 2K+2)]. The sparse kernel's
-// results are bit-identical to the dense kernel's, so the CAD View is
-// unchanged from the dense-path build. The returned StageTimes sums the
+// over the plausible l range [K, max(L, 2K+2)]. The returned StageTimes sums the
 // Lloyd-phase wall time of every fit performed (all l values under
 // AutoL), feeding the Timings.ClusterDetail breakdown.
 func fitClusters(ctx context.Context, points *cluster.SparsePoints, cfg Config, seed int64) (*cluster.Result, cluster.StageTimes, error) {
@@ -408,108 +340,6 @@ func fitClusters(ctx context.Context, points *cluster.SparsePoints, cfg Config, 
 		}
 	}
 	return best, st, nil
-}
-
-// resolvePivotValues returns the pivot rows' display order and each
-// value's row subset. Explicit values are validated against the column
-// domain; the default order is descending result-set frequency.
-func resolvePivotValues(v *dataview.View, pivotCol *dataview.Column, rows dataset.RowSet, explicit []string) ([]string, map[string]dataset.RowSet, error) {
-	byCode := partitionRowsByCode(pivotCol, rows)
-	rowsByValue := make(map[string]dataset.RowSet)
-
-	if len(explicit) > 0 {
-		seen := make(map[string]bool)
-		var values []string
-		for _, val := range explicit {
-			if seen[val] {
-				continue
-			}
-			seen[val] = true
-			code := pivotCol.CodeOf(val)
-			if code < 0 {
-				return nil, nil, fmt.Errorf("core: pivot attribute %q has no value %q", pivotCol.Attr, val)
-			}
-			values = append(values, val)
-			rowsByValue[val] = byCode[code]
-		}
-		return values, rowsByValue, nil
-	}
-
-	type vc struct {
-		val   string
-		count int
-	}
-	var ranked []vc
-	for code, rs := range byCode {
-		ranked = append(ranked, vc{pivotCol.Label(code), len(rs)})
-		rowsByValue[pivotCol.Label(code)] = rs
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].count != ranked[j].count {
-			return ranked[i].count > ranked[j].count
-		}
-		return ranked[i].val < ranked[j].val
-	})
-	values := make([]string, len(ranked))
-	for i, r := range ranked {
-		values[i] = r.val
-	}
-	return values, rowsByValue, nil
-}
-
-// pivotPartitionMin is the result-set size below which the pivot
-// partition runs serially; smaller sets don't amortize the per-segment
-// map merge.
-const pivotPartitionMin = 1 << 15
-
-// partitionRowsByCode groups a sorted row set by pivot code, one morsel
-// per storage segment: each segment's rows partition into a local map
-// with the segment's code slice hoisted out of the loop, and per-code
-// slices then concatenate in segment order. Over an ascending row set
-// that reproduces the serial append order exactly, so the per-value
-// subsequences are bit-identical to a single sequential sweep.
-func partitionRowsByCode(pivotCol *dataview.Column, rows dataset.RowSet) map[int]dataset.RowSet {
-	byCode := make(map[int]dataset.RowSet)
-	if len(rows) == 0 {
-		return byCode
-	}
-	segs := pivotCol.CodeSegs()
-	first := rows[0] >> dataset.SegmentBits
-	nSpan := rows[len(rows)-1]>>dataset.SegmentBits - first + 1
-	if nSpan <= 1 || len(rows) < pivotPartitionMin {
-		for _, r := range rows {
-			c := int(segs[r>>dataset.SegmentBits][r&dataset.SegmentMask])
-			// NaN pivot cells code -1: they belong to no pivot value,
-			// exactly as in the bitmap variant, whose postings never
-			// contain NaN rows.
-			if c >= 0 {
-				byCode[c] = append(byCode[c], r)
-			}
-		}
-		return byCode
-	}
-	locals := make([]map[int]dataset.RowSet, nSpan)
-	parallel.Do(nSpan, func(k int) {
-		span := rows.SegmentSpan(first + k)
-		if len(span) == 0 {
-			return
-		}
-		seg := segs[first+k]
-		m := make(map[int]dataset.RowSet, 16)
-		for _, r := range span {
-			c := int(seg[r&dataset.SegmentMask])
-			if c >= 0 {
-				m[c] = append(m[c], r)
-			}
-		}
-		locals[k] = m
-	})
-	for _, m := range locals {
-		for c, rs := range m {
-			byCode[c] = append(byCode[c], rs...)
-		}
-	}
-	return byCode
 }
 
 // explicitCompareAttrs validates the user's explicit Compare Attributes
@@ -577,31 +407,15 @@ func applyScores(chosen []string, scores []featsel.Score, cfg Config) []string {
 	return chosen
 }
 
-// selectCompareAttrs applies the paper's Compare Attribute policy:
-// explicitly selected attributes first, then automatically ranked ones
-// that pass the significance threshold, up to MaxCompare total.
-func selectCompareAttrs(ctx context.Context, v *dataview.View, rowsV dataset.RowSet, cfg Config) ([]string, error) {
-	chosen, candidates, err := explicitCompareAttrs(v, cfg)
-	if err != nil || len(candidates) == 0 {
-		return chosen, err
-	}
-	rankRows := rowsV
-	if cfg.FeatureSampleSize > 0 && cfg.FeatureSampleSize < len(rankRows) {
-		rankRows = sampleRows(rankRows, cfg.FeatureSampleSize, cfg.Seed)
-	}
-	scores, err := cfg.Ranker(ctx, v, rankRows, cfg.Pivot, candidates)
-	if err != nil {
-		return nil, err
-	}
-	return applyScores(chosen, scores, cfg), nil
-}
-
-// selectCompareAttrsBitmap is selectCompareAttrs fed by the result-set
-// bitmap. With the default chi-square ranker and no sampling, the
-// contingency sweep runs in its bitmap form (intersect-popcount against
-// the class postings) without materializing a row set at all; feature
-// sampling draws the systematic sample straight off the bitmap; a custom
-// ranker sees exactly the row set the scan path would have passed it.
+// selectCompareAttrsBitmap applies the paper's Compare Attribute policy
+// over the result-set bitmap: explicitly selected attributes first, then
+// automatically ranked ones that pass the significance threshold, up to
+// MaxCompare total. With the default chi-square ranker and no sampling,
+// the contingency sweep runs in its bitmap form (intersect-popcount
+// against the class postings, cost-dispatched per candidate) without
+// materializing a row set at all; feature sampling draws the systematic
+// sample straight off the bitmap; a custom ranker sees the bitmap's rows
+// as an ascending row set.
 func selectCompareAttrsBitmap(ctx context.Context, v *dataview.View, bmV *dataset.Bitmap, cfg Config) ([]string, error) {
 	chosen, candidates, err := explicitCompareAttrs(v, cfg)
 	if err != nil || len(candidates) == 0 {
@@ -614,8 +428,7 @@ func selectCompareAttrsBitmap(ctx context.Context, v *dataview.View, bmV *datase
 		rankRows := sampleRowsBitmap(bmV, cfg.FeatureSampleSize, cfg.Seed)
 		scores, err = cfg.Ranker(ctx, v, rankRows, cfg.Pivot, candidates)
 	case cfg.defaultRanker:
-		forceBitmap := cfg.Path == PathBitmap
-		scores, err = featsel.ChiSquareBitmapContext(ctx, v, bmV, cfg.Pivot, candidates, forceBitmap)
+		scores, err = featsel.ChiSquareBitmapContext(ctx, v, bmV, cfg.Pivot, candidates)
 	default:
 		scores, err = cfg.Ranker(ctx, v, bmV.ToRowSet(), cfg.Pivot, candidates)
 	}
@@ -625,33 +438,17 @@ func selectCompareAttrsBitmap(ctx context.Context, v *dataview.View, bmV *datase
 	return applyScores(chosen, scores, cfg), nil
 }
 
-// sampleRows takes a deterministic systematic sample of exactly
-// min(size, len(rows)) rows: evenly spaced positions rotated by a
-// seed-derived offset, wrapping around the end of the slice. (A plain
-// strided scan from a nonzero offset runs off the end and under-fills
-// the sample — the wrap keeps both the size and the uniform spacing.)
-func sampleRows(rows dataset.RowSet, size int, seed int64) dataset.RowSet {
-	n := len(rows)
-	if size >= n {
-		return append(dataset.RowSet(nil), rows...)
-	}
-	offset := int(seed % int64(n))
-	if offset < 0 {
-		offset += n
-	}
-	out := make(dataset.RowSet, 0, size)
-	for j := 0; j < size; j++ {
-		out = append(out, rows[(offset+j*n/size)%n])
-	}
-	return out
-}
-
-// sampleRowsBitmap draws the same systematic sample as sampleRows —
-// position for position, including the wraparound order — directly from
-// the bitmap, without materializing the full row set first. The sampled
-// positions are ranks into the bitmap's ascending rows; they are sorted
-// once and filled in a single bitmap pass, with each pick landing at its
-// original sequence slot so the output order matches sampleRows exactly.
+// sampleRowsBitmap takes a deterministic systematic sample of exactly
+// min(size, |bm|) of bm's rows: evenly spaced positions into the
+// ascending row order, rotated by a seed-derived offset and wrapping
+// around the end (a plain strided scan from a nonzero offset runs off
+// the end and under-fills the sample — the wrap keeps both the size and
+// the uniform spacing). It draws straight from the bitmap without
+// materializing the full row set: the sampled positions are sorted once
+// and filled in a single bitmap pass, with each pick landing at its
+// original sequence slot, so the output is in wraparound order —
+// position for position what the row-slice sampler in the tests
+// (sampleRows) returns.
 func sampleRowsBitmap(bm *dataset.Bitmap, size int, seed int64) dataset.RowSet {
 	n := bm.Len()
 	if size >= n {
@@ -679,13 +476,14 @@ func sampleRowsBitmap(bm *dataset.Bitmap, size int, seed int64) dataset.RowSet {
 	return out
 }
 
-// resolvePivotValuesBitmap is resolvePivotValues driven by the pivot
-// column's posting sets: each pivot code's result-set rows are the
-// intersection of its posting bitmap with the result bitmap, counted by
-// fused popcount and materialized (ascending, exactly the scan path's
-// per-value subsequences) only for values that actually occur. The
-// default display order — count descending, label ascending — is a total
-// order, so it matches the scan path's sort bit for bit.
+// resolvePivotValuesBitmap returns the pivot rows' display order and
+// each value's row subset (ascending) and posting intersection, driven
+// by the pivot column's posting sets: each pivot code's result-set rows
+// are the intersection of its posting bitmap with the result bitmap,
+// counted by fused popcount and materialized only for values that
+// actually occur. Explicit values are validated against the column
+// domain; the default order is count descending, label ascending — a
+// total order, so it is reproducible bit for bit.
 func resolvePivotValuesBitmap(pivotCol *dataview.Column, bm *dataset.Bitmap, explicit []string) ([]string, map[string]dataset.RowSet, map[string]*dataset.Bitmap, error) {
 	posts := pivotCol.Postings()
 	rowsByValue := make(map[string]dataset.RowSet)

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"dbexplorer/internal/dataset"
-	"dbexplorer/internal/dataview"
-)
+import "dbexplorer/internal/dataview"
 
 // LabelOptions controls cluster labeling (§3.1.2): how many
 // representative values an IUnit shows per Compare Attribute and when
@@ -40,33 +37,13 @@ func (o LabelOptions) withDefaults() LabelOptions {
 	return o
 }
 
-// buildLabels summarizes a cluster: for each Compare Attribute it
-// produces the ranked, grouped representative values and the full
-// code-frequency vector that Algorithm 1 similarity consumes.
-func buildLabels(v *dataview.View, compareAttrs []string, rows dataset.RowSet, opt LabelOptions) ([]Label, [][]float64, error) {
-	counts := make([][]int, len(compareAttrs))
-	for d, attr := range compareAttrs {
-		col, err := v.Column(attr)
-		if err != nil {
-			return nil, nil, err
-		}
-		counts[d] = make([]int, col.Cardinality())
-		for _, r := range rows {
-			// NaN cells code -1 and belong to no value — the collapsed
-			// bitmap path derives these counts from postings, which never
-			// contain NaN rows.
-			if c := col.Code(r); c >= 0 {
-				counts[d][c]++
-			}
-		}
-	}
-	return labelsFromCounts(v, compareAttrs, counts, len(rows), opt)
-}
-
-// labelsFromCounts is buildLabels over precomputed per-attribute code
-// frequency tables — the form the bitmap build produces from collapsed
-// cluster groups without re-reading member rows. counts[d] must be sized
-// to attribute d's cardinality and sum to clusterSize.
+// labelsFromCounts summarizes a cluster from precomputed per-attribute
+// code frequency tables — the form the build derives from collapsed
+// cluster groups without re-reading member rows: for each Compare
+// Attribute it produces the ranked, grouped representative values and
+// the full code-frequency vector that Algorithm 1 similarity consumes.
+// counts[d] must be sized to attribute d's cardinality and sum to
+// clusterSize.
 func labelsFromCounts(v *dataview.View, compareAttrs []string, counts [][]int, clusterSize int, opt LabelOptions) ([]Label, [][]float64, error) {
 	opt = opt.withDefaults()
 	labels := make([]Label, len(compareAttrs))

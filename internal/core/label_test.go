@@ -8,6 +8,27 @@ import (
 	"dbexplorer/internal/dataview"
 )
 
+// buildLabels is labelsFromCounts fed by a per-row code tally over the
+// cluster's member rows — the row-scan reference for the group-derived
+// counts the build passes in.
+func buildLabels(v *dataview.View, compareAttrs []string, rows dataset.RowSet, opt LabelOptions) ([]Label, [][]float64, error) {
+	counts := make([][]int, len(compareAttrs))
+	for d, attr := range compareAttrs {
+		col, err := v.Column(attr)
+		if err != nil {
+			return nil, nil, err
+		}
+		counts[d] = make([]int, col.Cardinality())
+		for _, r := range rows {
+			// NaN cells code -1 and belong to no value.
+			if c := col.Code(r); c >= 0 {
+				counts[d][c]++
+			}
+		}
+	}
+	return labelsFromCounts(v, compareAttrs, counts, len(rows), opt)
+}
+
 // labelView builds a tiny one-column view whose code frequencies are
 // fully controlled, to pin down groupValues behavior.
 func labelView(t *testing.T, values []string) *dataview.Column {
@@ -245,8 +266,7 @@ func TestGroupValuesMaxValuesTruncation(t *testing.T) {
 }
 
 func TestSampleRows(t *testing.T) {
-	rows := dataset.AllRows(100)
-	s := sampleRows(rows, 10, 0)
+	s := sampleRowsBitmap(dataset.FullBitmap(100), 10, 0)
 	if len(s) != 10 {
 		t.Errorf("sample size = %d", len(s))
 	}
@@ -256,12 +276,12 @@ func TestSampleRows(t *testing.T) {
 		}
 	}
 	// Requesting more than available returns everything.
-	s = sampleRows(rows[:5], 10, 0)
+	s = sampleRowsBitmap(dataset.FromRowSet(100, dataset.AllRows(5)), 10, 0)
 	if len(s) != 5 {
 		t.Errorf("oversample size = %d", len(s))
 	}
 	// Negative seeds behave.
-	s = sampleRows(rows, 10, -7)
+	s = sampleRowsBitmap(dataset.FullBitmap(100), 10, -7)
 	if len(s) != 10 {
 		t.Errorf("negative seed sample size = %d", len(s))
 	}
@@ -270,7 +290,7 @@ func TestSampleRows(t *testing.T) {
 	// divide len(rows).
 	for _, n := range []int{97, 100, 101} {
 		for seed := int64(-3); seed <= 120; seed += 7 {
-			s := sampleRows(dataset.AllRows(n), 10, seed)
+			s := sampleRowsBitmap(dataset.FullBitmap(n), 10, seed)
 			if len(s) != 10 {
 				t.Fatalf("n=%d seed=%d: sample size = %d, want 10", n, seed, len(s))
 			}

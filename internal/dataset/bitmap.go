@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"math/bits"
 	"sync/atomic"
 
 	"dbexplorer/internal/parallel"
@@ -487,71 +486,6 @@ func (b *Bitmap) SegmentLen(s int) int { return int(b.cs[s].card) }
 // through this instead of a global ForEach.
 func (b *Bitmap) ForEachInSegment(s int, fn func(row int)) {
 	b.cs[s].forEach(s<<chunkBits, fn)
-}
-
-// ForEachAnd calls fn for every row of b ∩ o in ascending order without
-// materializing the intersection — the fused form of And().ForEach().
-// Chunks where one operand is complete iterate the other directly.
-func (b *Bitmap) ForEachAnd(o *Bitmap, fn func(row int)) {
-	b.sameUniverse(o)
-	for i := range b.cs {
-		switch {
-		case o.complete(i):
-			b.cs[i].forEach(i<<chunkBits, fn)
-		case b.complete(i):
-			o.cs[i].forEach(i<<chunkBits, fn)
-		default:
-			forEachAndContainers(&b.cs[i], &o.cs[i], i<<chunkBits, fn)
-		}
-	}
-}
-
-// Ranks is a prefix-popcount structure over a bitmap: Rank answers
-// |{r ∈ b : r < row}| in O(1) for dense chunks and O(log card) for
-// sparse ones, which is what lets a builder scatter posting-derived
-// values into a dense array indexed by the row's position within the
-// set. Build cost is one pass over the containers.
-type Ranks struct {
-	b        *Bitmap
-	chunkPre []int32   // chunkPre[i] = members in chunks [0, i)
-	wordPre  [][]int32 // per packed chunk: members in words [0, w); nil otherwise
-}
-
-// Ranks returns the rank structure for b. The per-chunk prefixes are
-// snapshotted at build; b must not be mutated while the Ranks is in use.
-func (b *Bitmap) Ranks() *Ranks {
-	rk := &Ranks{
-		b:        b,
-		chunkPre: make([]int32, len(b.cs)+1),
-		wordPre:  make([][]int32, len(b.cs)),
-	}
-	for i := range b.cs {
-		c := &b.cs[i]
-		rk.chunkPre[i+1] = rk.chunkPre[i] + c.card
-		if c.kind == bitmapK {
-			pre := make([]int32, bitmapWords)
-			acc := int32(0)
-			for w, x := range c.words {
-				pre[w] = acc
-				acc += int32(bits.OnesCount64(x))
-			}
-			rk.wordPre[i] = pre
-		}
-	}
-	return rk
-}
-
-// Rank returns the number of set rows strictly below row.
-func (rk *Ranks) Rank(row int) int {
-	ch := row >> chunkBits
-	c := &rk.b.cs[ch]
-	low := uint16(row & chunkMask)
-	if c.kind == bitmapK {
-		w := low >> 6
-		return int(rk.chunkPre[ch]) + int(rk.wordPre[ch][w]) +
-			bits.OnesCount64(c.words[w]&(1<<(low&63)-1))
-	}
-	return int(rk.chunkPre[ch]) + c.rank(low)
 }
 
 // Slice returns the rows ranked [offset, offset+limit) in ascending row

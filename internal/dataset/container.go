@@ -300,34 +300,6 @@ func (c *container) add(v uint16) {
 	}
 }
 
-// rank returns |{x ∈ c : x < v}|.
-func (c *container) rank(v uint16) int {
-	switch c.kind {
-	case arrayK:
-		return sort.Search(len(c.array), func(i int) bool { return c.array[i] >= v })
-	case bitmapK:
-		w := int(v >> 6)
-		total := 0
-		for i := 0; i < w; i++ {
-			total += bits.OnesCount64(c.words[i])
-		}
-		return total + bits.OnesCount64(c.words[w]&(1<<(v&63)-1))
-	default:
-		total := 0
-		for _, r := range c.runs {
-			if r.start >= v {
-				break
-			}
-			last := int(r.last)
-			if int(v)-1 < last {
-				last = int(v) - 1
-			}
-			total += last - int(r.start) + 1
-		}
-		return total
-	}
-}
-
 // minValue returns the smallest member; the container must be non-empty.
 func (c *container) minValue() int {
 	switch c.kind {
@@ -1004,79 +976,6 @@ func andFirstContainers(a, b *container) int {
 		}
 	}
 	return -1
-}
-
-// forEachAndContainers calls fn(base+v) for each v ∈ a ∩ b ascending.
-func forEachAndContainers(a, b *container, base int, fn func(row int)) {
-	if a.card == 0 || b.card == 0 {
-		return
-	}
-	if b.kind == arrayK && a.kind != arrayK {
-		a, b = b, a
-	}
-	switch {
-	case a.kind == arrayK && b.kind == arrayK:
-		for _, v := range intersectArrays(a.array, b.array, nil) {
-			fn(base + int(v))
-		}
-	case a.kind == arrayK && b.kind == bitmapK:
-		for _, v := range a.array {
-			if b.words[v>>6]&(1<<(v&63)) != 0 {
-				fn(base + int(v))
-			}
-		}
-	case a.kind == arrayK: // array ∩ run
-		j := 0
-		for _, v := range a.array {
-			for j < len(b.runs) && b.runs[j].last < v {
-				j++
-			}
-			if j == len(b.runs) {
-				return
-			}
-			if b.runs[j].start <= v {
-				fn(base + int(v))
-			}
-		}
-	case a.kind == bitmapK && b.kind == bitmapK:
-		for i, x := range a.words {
-			x &= b.words[i]
-			wbase := base + i<<6
-			for x != 0 {
-				fn(wbase + bits.TrailingZeros64(x))
-				x &= x - 1
-			}
-		}
-	default:
-		// At least one run operand: intersect as intervals/masks and walk.
-		if a.kind != runK {
-			a, b = b, a
-		}
-		if b.kind == runK {
-			for _, r := range intersectRuns(a.runs, b.runs, nil) {
-				for v := int(r.start); v <= int(r.last); v++ {
-					fn(base + v)
-				}
-			}
-			return
-		}
-		for _, r := range a.runs {
-			for w := int(r.start) >> 6; w <= int(r.last)>>6; w++ {
-				x := b.words[w]
-				if w == int(r.start)>>6 {
-					x &= ^uint64(0) << (r.start & 63)
-				}
-				if w == int(r.last)>>6 {
-					x &= ^uint64(0) >> (63 - r.last&63)
-				}
-				wbase := base + w<<6
-				for x != 0 {
-					fn(wbase + bits.TrailingZeros64(x))
-					x &= x - 1
-				}
-			}
-		}
-	}
 }
 
 // memoryBytes is the payload footprint of the container's backing store.

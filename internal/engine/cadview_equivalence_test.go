@@ -1,18 +1,60 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"dbexplorer/internal/core"
+	"dbexplorer/internal/dataset"
 	"dbexplorer/internal/dataview"
+	"dbexplorer/internal/featsel"
 )
 
+// pivotCounts tallies the pivot value of every row in a plain row loop
+// and returns "value:count" pairs in CAD View row order: count
+// descending, value ascending. NaN cells belong to no pivot value.
+func pivotCounts(col *dataview.Column, rows dataset.RowSet) []string {
+	counts := map[string]int{}
+	for _, r := range rows {
+		if c := col.Code(r); c >= 0 {
+			counts[col.Label(c)]++
+		}
+	}
+	vals := make([]string, 0, len(counts))
+	for val := range counts {
+		vals = append(vals, val)
+	}
+	sort.Slice(vals, func(i, j int) bool {
+		if counts[vals[i]] != counts[vals[j]] {
+			return counts[vals[i]] > counts[vals[j]]
+		}
+		return vals[i] < vals[j]
+	})
+	out := make([]string, len(vals))
+	for i, val := range vals {
+		out[i] = fmt.Sprintf("%s:%d", val, counts[val])
+	}
+	return out
+}
+
+// viewPivotCounts lists a CAD View's pivot rows as "value:count" pairs.
+func viewPivotCounts(view *core.CADView) []string {
+	out := make([]string, len(view.Rows))
+	for i, row := range view.Rows {
+		out[i] = fmt.Sprintf("%s:%d", row.Value, row.Count)
+	}
+	return out
+}
+
 // TestCorpusCADViewBitmapMatchesScan is the CAD View counterpart of the
-// WHERE-corpus equivalence test: for every corpus result set, the
-// bitmap-native build pipeline (auto-dispatched and forced) must produce
-// a CAD View byte-identical to the row-scan reference — same structure,
-// same rendering — across categorical and numeric pivots.
+// WHERE-corpus equivalence test: for every corpus result set, across
+// categorical and numeric pivots, the default build — Compare Attributes
+// ranked from posting-bitmap contingency tables — must produce a CAD
+// View byte-identical to the build that ranks with the row-set
+// chi-square ranker (its contingency tables come from a row scan), and
+// its pivot rows must carry the values and counts of a plain row loop.
 func TestCorpusCADViewBitmapMatchesScan(t *testing.T) {
 	tbl := carsTable(t, 400, 1)
 	s := NewSession()
@@ -32,23 +74,29 @@ func TestCorpusCADViewBitmapMatchesScan(t *testing.T) {
 			continue // empty result sets cannot host a CAD View
 		}
 		for _, pivot := range []string{"Make", "Price"} {
-			cfg := core.Config{Pivot: pivot, K: 3, MaxCompare: 5, Seed: 1, Path: core.PathScan}
-			want, _, err := core.Build(v, r.Rows, cfg)
+			cfg := core.Config{Pivot: pivot, K: 3, MaxCompare: 5, Seed: 1}
+			got, _, err := core.Build(v, r.Rows, cfg)
 			if err != nil {
-				t.Fatalf("%s pivot %s: scan build: %v", q, pivot, err)
+				t.Fatalf("%s pivot %s: %v", q, pivot, err)
 			}
-			for _, path := range []core.BuildPath{core.PathAuto, core.PathBitmap} {
-				cfg.Path = path
-				got, _, err := core.Build(v, r.Rows, cfg)
-				if err != nil {
-					t.Fatalf("%s pivot %s path %d: %v", q, pivot, path, err)
-				}
-				if core.Render(want, nil) != core.Render(got, nil) {
-					t.Errorf("%s pivot %s path %d: rendered CAD View diverged from scan path", q, pivot, path)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s pivot %s path %d: CAD View structure diverged from scan path", q, pivot, path)
-				}
+			scan := cfg
+			scan.Ranker = featsel.ChiSquareContext
+			want, _, err := core.Build(v, r.Rows, scan)
+			if err != nil {
+				t.Fatalf("%s pivot %s: row-set ranker build: %v", q, pivot, err)
+			}
+			if core.Render(want, nil) != core.Render(got, nil) {
+				t.Errorf("%s pivot %s: rendered CAD View diverged from the row-set ranker build", q, pivot)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s pivot %s: CAD View structure diverged from the row-set ranker build", q, pivot)
+			}
+			pivotCol, err := v.Column(pivot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotPV, wantPV := viewPivotCounts(got), pivotCounts(pivotCol, r.Rows); !reflect.DeepEqual(gotPV, wantPV) {
+				t.Errorf("%s pivot %s: pivot rows %v, row loop %v", q, pivot, gotPV, wantPV)
 			}
 		}
 	}

@@ -453,11 +453,7 @@ func (s *Session) execExplain(ctx context.Context, st *cadql.ExplainStmt) (*Resu
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "EXPLAIN CADVIEW %s on %s\n", c.Name, e.table.Name())
-	plan := "vectorized (posting bitmaps)"
-	if !comp.Vectorized() {
-		plan = "interpreted (row scan)"
-	}
-	fmt.Fprintf(&b, "where: %s, selectivity %.4f\n", plan,
+	fmt.Fprintf(&b, "where: vectorized (posting bitmaps), selectivity %.4f\n",
 		float64(len(rows))/float64(e.table.NumRows()))
 	if c.Where != nil {
 		// The cost-chosen evaluation order with per-leaf cardinality

@@ -4,10 +4,10 @@
 // algebra over the table's posting index (dataset.Index). Leaves resolve
 // to precomputed posting bitmaps (categorical equality, IN) or two
 // binary searches over a value-sorted row order (numeric comparisons,
-// BETWEEN); AND/OR/NOT combine whole words at a time. The interpreted
-// row-at-a-time path remains as the fallback for expression types this
-// package does not know, and equivalence tests pin the two paths to
-// bit-identical results.
+// BETWEEN); AND/OR/NOT combine whole words at a time. Compile accepts
+// only this package's node types and operators, so every plan runs on
+// bitmaps. Expr.Eval stays the per-row semantics: the equivalence tests
+// evaluate it in a plain row loop and pin every compiled result to it.
 package expr
 
 import (
@@ -29,23 +29,21 @@ import (
 // single-slot cache would thrash on every alternation). The plan is
 // immutable after Compile and safe for concurrent use.
 type Compiled struct {
-	t          *dataset.Table
-	e          Expr
-	vectorized bool
-	binds      map[Expr]any // leaf node → *cmpBind / *betweenBind / *inBind
+	t     *dataset.Table
+	e     Expr
+	binds map[Expr]any // leaf node → *cmpBind / *betweenBind / *inBind
 }
 
-// Compile validates e against t and prepares the evaluation plan:
-// expressions built purely from this package's node types run
-// vectorized; anything else keeps the interpreted row loop. Validation
-// errors are exactly those of the interpreted path.
+// Compile validates e against t and prepares the evaluation plan. An
+// expression tree containing a node type from outside this package is a
+// validation error: the planner cannot price or lower it.
 func Compile(t *dataset.Table, e Expr) (*Compiled, error) {
 	if e != nil {
 		if err := e.Validate(t); err != nil {
 			return nil, err
 		}
 	}
-	c := &Compiled{t: t, e: e, vectorized: e == nil || vectorizable(e)}
+	c := &Compiled{t: t, e: e}
 	if e != nil {
 		c.binds = make(map[Expr]any)
 		if err := c.bindTree(e); err != nil {
@@ -55,9 +53,9 @@ func Compile(t *dataset.Table, e Expr) (*Compiled, error) {
 	return c, nil
 }
 
-// bindTree resolves every known leaf of the tree against the plan's
-// table and stores the bindings in the plan. Unknown node types are
-// skipped — the interpreted fallback binds them through the node caches.
+// bindTree resolves every leaf of the tree against the plan's table and
+// stores the bindings in the plan; it rejects node types from outside
+// this package.
 func (c *Compiled) bindTree(e Expr) error {
 	switch n := e.(type) {
 	case *Cmp:
@@ -92,6 +90,8 @@ func (c *Compiled) bindTree(e Expr) error {
 		}
 	case *Not:
 		return c.bindTree(n.Kid)
+	default:
+		return fmt.Errorf("expr: unsupported expression type %T (%s)", e, e)
 	}
 	return nil
 }
@@ -120,39 +120,6 @@ func (c *Compiled) inBindFor(n *In) (*inBind, error) {
 	return n.bindTo(c.t)
 }
 
-// Vectorized reports whether evaluation runs on the bitmap path.
-func (c *Compiled) Vectorized() bool { return c.vectorized }
-
-// vectorizable reports whether every node of the tree maps onto bitmap
-// algebra. Comparison operators outside the known range are left to the
-// interpreter so its per-row error surfaces unchanged.
-func vectorizable(e Expr) bool {
-	switch n := e.(type) {
-	case *Cmp:
-		return n.Op >= Eq && n.Op <= Ge
-	case *Between, *In:
-		return true
-	case *And:
-		for _, k := range n.Kids {
-			if !vectorizable(k) {
-				return false
-			}
-		}
-		return true
-	case *Or:
-		for _, k := range n.Kids {
-			if !vectorizable(k) {
-				return false
-			}
-		}
-		return true
-	case *Not:
-		return vectorizable(n.Kid)
-	default:
-		return false
-	}
-}
-
 // Bitmap evaluates the predicate over the whole table and returns the
 // matching row set as a bitmap. The result is owned by the caller:
 // single-leaf plans whose evaluation would alias an index posting bitmap
@@ -162,13 +129,6 @@ func (c *Compiled) Bitmap() (*dataset.Bitmap, error) {
 	ix := c.t.Index()
 	if c.e == nil {
 		return dataset.FullBitmap(ix.Rows()), nil
-	}
-	if !c.vectorized {
-		rows, err := selectScan(c.t, dataset.AllRows(c.t.NumRows()), c.e)
-		if err != nil {
-			return nil, err
-		}
-		return dataset.FromRowSet(c.t.NumRows(), rows), nil
 	}
 	bm, shared, err := c.evalBitmap(ix, c.e)
 	if err != nil {
@@ -181,13 +141,10 @@ func (c *Compiled) Bitmap() (*dataset.Bitmap, error) {
 }
 
 // Select returns the rows of the input set satisfying the predicate, in
-// input order — exactly what the interpreted row loop returns.
+// input order — exactly the rows of a per-row Eval loop.
 func (c *Compiled) Select(rows dataset.RowSet) (dataset.RowSet, error) {
 	if c.e == nil {
 		return rows.Clone(), nil
-	}
-	if !c.vectorized {
-		return selectScan(c.t, rows, c.e)
 	}
 	bm, _, err := c.evalBitmap(c.t.Index(), c.e)
 	if err != nil {
@@ -210,25 +167,10 @@ func (c *Compiled) Select(rows dataset.RowSet) (dataset.RowSet, error) {
 // exactly Select(dataset.AllRows(t.NumRows())), without materializing a
 // row id per table row just to verify and discard it. Statement
 // execution starts every WHERE from the whole table, so the input set
-// was pure overhead: the vectorized path unpacks the result bitmap
-// directly, and the interpreted path scans row ids instead of a slice.
+// was pure overhead: the result bitmap unpacks directly.
 func (c *Compiled) SelectAll() (dataset.RowSet, error) {
-	n := c.t.NumRows()
 	if c.e == nil {
-		return dataset.AllRows(n), nil
-	}
-	if !c.vectorized {
-		out := make(dataset.RowSet, 0, n)
-		for r := 0; r < n; r++ {
-			ok, err := c.e.Eval(c.t, r)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, r)
-			}
-		}
-		return out, nil
+		return dataset.AllRows(c.t.NumRows()), nil
 	}
 	bm, _, err := c.evalBitmap(c.t.Index(), c.e)
 	if err != nil {
@@ -295,7 +237,7 @@ func (c *Compiled) evalBitmap(ix *dataset.Index, e Expr) (bm *dataset.Bitmap, sh
 		return out, false, nil
 	case *And:
 		if len(n.Kids) == 0 {
-			// The interpreter's empty conjunction is vacuously true.
+			// An empty conjunction is vacuously true, as in And.Eval.
 			return dataset.FullBitmap(ix.Rows()), false, nil
 		}
 		// Cost-based ordering: evaluate children cheapest-first so the
@@ -329,7 +271,7 @@ func (c *Compiled) evalBitmap(ix *dataset.Index, e Expr) (bm *dataset.Bitmap, sh
 		return acc, accShared, nil
 	case *Or:
 		if len(n.Kids) == 0 {
-			// The interpreter's empty disjunction is vacuously false.
+			// An empty disjunction is vacuously false, as in Or.Eval.
 			return dataset.NewBitmap(ix.Rows()), false, nil
 		}
 		acc, accShared, err := c.evalBitmap(ix, n.Kids[0])
@@ -352,7 +294,7 @@ func (c *Compiled) evalBitmap(ix *dataset.Index, e Expr) (bm *dataset.Bitmap, sh
 		}
 		return kb.Not(), false, nil
 	default:
-		return nil, false, fmt.Errorf("expr: %T is not vectorizable", e)
+		return nil, false, fmt.Errorf("expr: unsupported expression type %T", e)
 	}
 }
 
@@ -387,9 +329,9 @@ func (c *Compiled) orderByEstimate(ix *dataset.Index, kids []Expr) []Expr {
 // Combining nodes use the standard independence-free bounds — And takes
 // the minimum child, Or the capped sum, Not the complement — which is
 // all the planner needs: only the relative order of And children
-// matters, and the bounds preserve it. Nodes the planner cannot price
-// (bind failures, foreign node types) estimate as the full universe, so
-// they sort last and never mask a cheap leaf.
+// matters, and the bounds preserve it. A leaf whose binding fails
+// estimates as the full universe, so it sorts last and never masks a
+// cheap leaf.
 func (c *Compiled) estimate(ix *dataset.Index, e Expr) int {
 	n := ix.Rows()
 	switch node := e.(type) {
@@ -476,9 +418,6 @@ func (c *Compiled) estimate(ix *dataset.Index, e Expr) int {
 func (c *Compiled) Explain() string {
 	if c.e == nil {
 		return "true (select everything)"
-	}
-	if !c.vectorized {
-		return "interpreted (row scan): " + c.e.String()
 	}
 	var b strings.Builder
 	c.explainNode(c.t.Index(), c.e, 0, &b)

@@ -9,6 +9,29 @@ import (
 	"dbexplorer/internal/dataset"
 )
 
+// evalRows is the row-at-a-time interpreter the compiled plans are pinned
+// to: validate once, then keep every input row on which Expr.Eval holds,
+// in input order.
+func evalRows(t *dataset.Table, rows dataset.RowSet, e Expr) (dataset.RowSet, error) {
+	if e == nil {
+		return rows.Clone(), nil
+	}
+	if err := e.Validate(t); err != nil {
+		return nil, err
+	}
+	out := dataset.RowSet{}
+	for _, r := range rows {
+		ok, err := e.Eval(t, r)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
 // equivTable builds a table with categorical and numeric columns,
 // including NaN cells and duplicated values, so compiled bitmaps face
 // the same edge cases the interpreter does.
@@ -102,7 +125,7 @@ func TestCompiledSelectMatchesInterpreter(t *testing.T) {
 				}
 			}
 		}
-		want, err := SelectInterpreted(tbl, rows, e)
+		want, err := evalRows(tbl, rows, e)
 		if err != nil {
 			t.Fatalf("trial %d: interpreter failed on %s: %v", trial, e, err)
 		}
@@ -135,48 +158,42 @@ func TestCompileNilAndVacuous(t *testing.T) {
 	}
 }
 
-// oddRows is an Expr foreign to this package: Compile cannot vectorize
-// it and must fall back to the interpreted scan.
+// oddRows is an Expr foreign to this package.
 type oddRows struct{}
 
 func (oddRows) Eval(t *dataset.Table, row int) (bool, error) { return row%2 == 1, nil }
 func (oddRows) Validate(t *dataset.Table) error              { return nil }
 func (oddRows) String() string                               { return "oddRows" }
 
-func TestCompileFallbackForForeignExpr(t *testing.T) {
+// TestCompileValidationErrors: a numeric comparison with an operator
+// outside Eq..Ge and a tree holding a node type from outside this
+// package are rejected when the predicate is compiled, even over an
+// empty row set, instead of being left to a per-row evaluation.
+func TestCompileValidationErrors(t *testing.T) {
 	tbl := equivTable(10, 2)
-	c, err := Compile(tbl, oddRows{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Vectorized() {
-		t.Fatal("foreign Expr reported as vectorized")
-	}
-	got, err := c.Select(dataset.AllRows(tbl.NumRows()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, dataset.RowSet{1, 3, 5, 7, 9}) {
-		t.Fatalf("fallback selected %v", got)
-	}
-	// And the Bitmap entry point goes through the same scan.
-	bm, err := c.Bitmap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bm.ToRowSet(), got) {
-		t.Fatalf("fallback Bitmap selected %v", bm.ToRowSet())
+	for name, e := range map[string]Expr{
+		"numeric-bad-op":     &Cmp{Attr: "Price", Op: CmpOp(9), Num: 1},
+		"categorical-bad-op": &Cmp{Attr: "Make", Op: CmpOp(9), Str: "Ford"},
+		"foreign":            oddRows{},
+		"nested-foreign":     &And{Kids: []Expr{&Cmp{Attr: "Make", Op: Eq, Str: "Ford"}, &Not{Kid: oddRows{}}}},
+	} {
+		if _, err := Select(tbl, nil, e); err == nil {
+			t.Errorf("%s: Select returned no error", name)
+		}
+		if _, err := Compile(tbl, e); err == nil {
+			t.Errorf("%s: Compile returned no error", name)
+		}
 	}
 }
 
-// TestCompileUnknownAttrError pins error parity between the two paths.
+// TestCompileUnknownAttrError pins error parity with the row loop.
 func TestCompileUnknownAttrError(t *testing.T) {
 	tbl := equivTable(10, 3)
 	e := &Cmp{Attr: "Nope", Op: Eq, Str: "x"}
 	_, errC := Select(tbl, nil, e)
-	_, errI := SelectInterpreted(tbl, nil, e)
+	_, errI := evalRows(tbl, nil, e)
 	if errC == nil || errI == nil || errC.Error() != errI.Error() {
-		t.Fatalf("error mismatch: compiled %v, interpreted %v", errC, errI)
+		t.Fatalf("error mismatch: compiled %v, row loop %v", errC, errI)
 	}
 }
 
@@ -197,7 +214,7 @@ func TestBindRefreshAfterAppend(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, dataset.RowSet{1}) {
 		t.Fatalf("after append: %v, %v", got, err)
 	}
-	gotI, err := SelectInterpreted(tbl, dataset.AllRows(tbl.NumRows()), e)
+	gotI, err := evalRows(tbl, dataset.AllRows(tbl.NumRows()), e)
 	if err != nil || !reflect.DeepEqual(gotI, got) {
 		t.Fatalf("interpreter after append: %v, %v", gotI, err)
 	}

@@ -2,6 +2,12 @@
 // and evaluates them to row sets. It is the evaluation substrate for SQL
 // WHERE clauses (package cadql parses into these nodes) and for faceted
 // filter stacks (package facet).
+//
+// Evaluation has one path: Compile validates a tree of this package's
+// node types and lowers it to cost-ordered bitmap algebra over the
+// table's posting index (compile.go). Expr.Eval defines the per-row
+// semantics; the row loop over it in compile_test.go (evalRows) is the
+// reference every compiled result is pinned to.
 package expr
 
 import (
@@ -25,46 +31,15 @@ type Expr interface {
 }
 
 // Select evaluates e over the given rows and returns those that satisfy
-// it. A nil expression selects every row. Predicates built from the
-// node types of this package compile to bitmap algebra over the table's
-// posting index (see Compile); anything else falls back to the
-// row-at-a-time interpreter. Both paths return identical row sets.
+// it, in input order. A nil expression selects every row. The predicate
+// compiles to bitmap algebra over the table's posting index (see
+// Compile); the result is exactly the rows on which e.Eval holds.
 func Select(t *dataset.Table, rows dataset.RowSet, e Expr) (dataset.RowSet, error) {
 	c, err := Compile(t, e)
 	if err != nil {
 		return nil, err
 	}
 	return c.Select(rows)
-}
-
-// SelectInterpreted is the row-at-a-time reference evaluator: it walks
-// the expression tree once per row through interface dispatch. Select
-// produces exactly the same row sets through the compiled path;
-// equivalence tests and benchmarks pin the two together.
-func SelectInterpreted(t *dataset.Table, rows dataset.RowSet, e Expr) (dataset.RowSet, error) {
-	if e == nil {
-		return rows.Clone(), nil
-	}
-	if err := e.Validate(t); err != nil {
-		return nil, err
-	}
-	return selectScan(t, rows, e)
-}
-
-// selectScan runs the interpreted row loop over an already-validated
-// expression.
-func selectScan(t *dataset.Table, rows dataset.RowSet, e Expr) (dataset.RowSet, error) {
-	out := make(dataset.RowSet, 0, len(rows))
-	for _, r := range rows {
-		ok, err := e.Eval(t, r)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }
 
 // CmpOp is a comparison operator.
@@ -181,6 +156,9 @@ func (c *Cmp) Validate(t *dataset.Table) error {
 			return fmt.Errorf("expr: operator %s not valid for categorical attribute %q", c.Op, c.Attr)
 		}
 		return nil
+	}
+	if c.Op < Eq || c.Op > Ge {
+		return fmt.Errorf("expr: unknown operator %s for numeric attribute %q", c.Op, c.Attr)
 	}
 	// Parsers mark "the literal was not a number" with NaN; comparing a
 	// numeric column against it can never be what the user meant.

@@ -52,7 +52,7 @@ func TestSelectAdversarialRowSets(t *testing.T) {
 		"almost-all": almostAll,
 		"all":        dataset.AllRows(n),
 	} {
-		want, err := SelectInterpreted(tbl, rows, e)
+		want, err := evalRows(tbl, rows, e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,11 +123,11 @@ func TestCompiledPlansDoNotThrashNodeCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want1, err := SelectInterpreted(t1, dataset.AllRows(t1.NumRows()), e)
+	want1, err := evalRows(t1, dataset.AllRows(t1.NumRows()), e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2, err := SelectInterpreted(t2, dataset.AllRows(t2.NumRows()), e)
+	want2, err := evalRows(t2, dataset.AllRows(t2.NumRows()), e)
 	if err != nil {
 		t.Fatal(err)
 	}

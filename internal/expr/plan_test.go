@@ -90,13 +90,13 @@ func TestAndOrderedCheapestFirst(t *testing.T) {
 	if !strings.Contains(plan, "(est 2 rows)") {
 		t.Fatalf("plan missing exact leaf estimate:\n%s", plan)
 	}
-	// Reordering must not change the result: compare with the
-	// interpreter on the same tree.
+	// Reordering must not change the result: compare with the row loop
+	// on the same tree.
 	got, err := c.Select(dataset.AllRows(tbl.NumRows()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Select(tbl, dataset.AllRows(tbl.NumRows()), e)
+	want, err := evalRows(tbl, dataset.AllRows(tbl.NumRows()), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,18 +126,17 @@ func TestAndShortCircuitsOnEmpty(t *testing.T) {
 	if bm.Len() != 0 {
 		t.Fatalf("impossible conjunction returned %d rows", bm.Len())
 	}
-	want, err := Select(tbl, dataset.AllRows(tbl.NumRows()), e)
+	want, err := evalRows(tbl, dataset.AllRows(tbl.NumRows()), e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) != 0 {
-		t.Fatalf("interpreter disagrees: %d rows", len(want))
+		t.Fatalf("row loop disagrees: %d rows", len(want))
 	}
 }
 
-// TestExplainForms covers the two non-plan renderings: the nil
-// (select-everything) predicate and the interpreted fallback for foreign
-// node types.
+// TestExplainForms covers the nil (select-everything) rendering and a
+// nested plan tree.
 func TestExplainForms(t *testing.T) {
 	tbl := skewTable(10)
 	c, err := Compile(tbl, nil)
@@ -146,13 +145,6 @@ func TestExplainForms(t *testing.T) {
 	}
 	if got := c.Explain(); got != "true (select everything)" {
 		t.Fatalf("nil plan explain = %q", got)
-	}
-	c, err = Compile(tbl, oddRows{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Explain(); !strings.HasPrefix(got, "interpreted (row scan)") {
-		t.Fatalf("foreign expr explain = %q", got)
 	}
 	// A nested tree renders one line per node with estimates.
 	c, err = Compile(tbl, &Or{Kids: []Expr{
@@ -192,12 +184,12 @@ func TestCostOrderingEquivalenceRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Select(tbl, all, e)
+		want, err := evalRows(tbl, all, e)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: planner diverged from interpreter on %s", trial, e.String())
+			t.Fatalf("trial %d: planner diverged from the row loop on %s", trial, e.String())
 		}
 	}
 }

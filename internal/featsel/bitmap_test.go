@@ -8,6 +8,7 @@ import (
 
 	"dbexplorer/internal/dataset"
 	"dbexplorer/internal/dataview"
+	"dbexplorer/internal/stats"
 )
 
 // randomView builds a table with random shape for the property tests:
@@ -61,12 +62,35 @@ func randomSubset(rng *rand.Rand, n int) (dataset.RowSet, *dataset.Bitmap) {
 	return rows, bm
 }
 
+// sameTable reports whether two contingency tables agree in shape and
+// in every cell.
+func sameTable(a, b *stats.ContingencyTable) bool {
+	if len(a.Counts) != len(b.Counts) {
+		return false
+	}
+	for x := range a.Counts {
+		if len(a.Counts[x]) != len(b.Counts[x]) {
+			return false
+		}
+		for y := range a.Counts[x] {
+			if a.Counts[x][y] != b.Counts[x][y] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestFillTablesBitmapMatchesScan is the white-box property test the
 // bitmap contingency path is held to: over random tables and random
-// filters, the posting-bitmap fill — both cost-dispatched and forced —
-// must reproduce the row-scan fill cell for cell.
+// filters, the cost-dispatched fill and, for every candidate, the
+// posting-sweep branch on its own must reproduce the row-scan fill cell
+// for cell. The random shapes put candidates on both sides of the
+// scanCostRatio split; the test checks that the dispatch really chose
+// each side somewhere.
 func TestFillTablesBitmapMatchesScan(t *testing.T) {
 	ctx := context.Background()
+	chosen := map[bool]int{}
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) * 7919))
 		v, n, candidates := randomView(t, rng)
@@ -86,31 +110,35 @@ func TestFillTablesBitmapMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, force := range []bool{false, true} {
-			got, gotClasses, err := fillTablesBitmap(ctx, v, cols, bm, "Class", force)
-			if err != nil {
-				t.Fatalf("trial %d force=%v: %v", trial, force, err)
+		words := (bm.Universe() + 63) / 64
+		for _, col := range cols {
+			chosen[fillByBitmap(col, nClasses, words, bm.Len())]++
+		}
+		got, err := fillTablesBitmap(ctx, v, cols, bm, "Class")
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		clsBmps, _, err := classBitmaps(v, bm, "Class")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, col := range cols {
+			if !sameTable(got[j], want[j]) {
+				t.Fatalf("trial %d: dispatched table of %s diverged from the row scan", trial, candidates[j])
 			}
-			if gotClasses != nClasses {
-				t.Fatalf("trial %d force=%v: nClasses = %d, want %d", trial, force, gotClasses, nClasses)
-			}
-			for j := range cols {
-				for x := range want[j].Counts {
-					for y := range want[j].Counts[x] {
-						if got[j].Counts[x][y] != want[j].Counts[x][y] {
-							t.Fatalf("trial %d force=%v: candidate %s cell (%d,%d) = %d, want %d",
-								trial, force, candidates[j], x, y, got[j].Counts[x][y], want[j].Counts[x][y])
-						}
-					}
-				}
+			if !sameTable(postingTable(col, clsBmps, bm), want[j]) {
+				t.Fatalf("trial %d: posting-sweep table of %s diverged from the row scan", trial, candidates[j])
 			}
 		}
 	}
+	if chosen[true] == 0 || chosen[false] == 0 {
+		t.Fatalf("dispatch never chose one side: %d bitmap, %d scan candidates", chosen[true], chosen[false])
+	}
 }
 
-// TestBitmapRankersMatchScan checks the exported bitmap entry points
-// end to end: identical Score slices — attribute order, statistic, and
-// p-value — to the scan-path rankers over random inputs.
+// TestBitmapRankersMatchScan checks the exported bitmap entry point end
+// to end: identical Score slices — attribute order, statistic, and
+// p-value — to the scan-path ranker over random inputs.
 func TestBitmapRankersMatchScan(t *testing.T) {
 	ctx := context.Background()
 	for trial := 0; trial < 10; trial++ {
@@ -124,24 +152,13 @@ func TestBitmapRankersMatchScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chiBm, err := ChiSquareBitmapContext(ctx, v, bm, "Class", candidates, trial%2 == 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		miScan, err := MutualInformationContext(ctx, v, rows, "Class", candidates)
-		if err != nil {
-			t.Fatal(err)
-		}
-		miBm, err := MutualInformationBitmapContext(ctx, v, bm, "Class", candidates, trial%2 == 1)
+		chiBm, err := ChiSquareBitmapContext(ctx, v, bm, "Class", candidates)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range chiScan {
 			if chiScan[i] != chiBm[i] {
 				t.Fatalf("trial %d: chi score %d = %+v, want %+v", trial, i, chiBm[i], chiScan[i])
-			}
-			if miScan[i] != miBm[i] {
-				t.Fatalf("trial %d: mi score %d = %+v, want %+v", trial, i, miBm[i], miScan[i])
 			}
 		}
 	}

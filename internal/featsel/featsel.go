@@ -105,8 +105,9 @@ const ctxCheckRows = 1 << 14
 // result is identical to a sequential fill. The sweep checks ctx every
 // ctxCheckRows rows — the contingency fill is the Compare-Attribute
 // stage's cancellation checkpoint — and returns ctx's error when done.
-// This is the reference path; fillTablesBitmap produces identical tables
-// from posting bitmaps (asserted cell-for-cell by the equivalence tests).
+// It serves the row-set rankers and the scan side of fillTablesBitmap's
+// per-candidate dispatch; the bitmap side (postingTable) produces
+// identical tables, asserted cell for cell by the equivalence tests.
 func fillTablesScan(ctx context.Context, cols []*dataview.Column, rows dataset.RowSet, cls []int, nClasses int) ([]*stats.ContingencyTable, error) {
 	tables := make([]*stats.ContingencyTable, len(cols))
 	codes := make([]segCodes, len(cols))
@@ -228,19 +229,47 @@ func classBitmaps(v *dataview.View, bm *dataset.Bitmap, classAttr string) ([]*da
 // when card·classes·words beats rows·scanCostRatio.
 const scanCostRatio = 6
 
+// fillByBitmap decides one candidate's side of the dispatch. A candidate
+// whose postings are not yet materialized must promise roughly double
+// the win before the bitmap branch is worth the one-time posting build
+// it triggers; warm candidates fill by bitmap whenever the sweep itself
+// is cheaper than the row scan.
+func fillByBitmap(col *dataview.Column, nClasses, words, nRows int) bool {
+	cost := col.Cardinality() * nClasses * words
+	if !col.PostingsReady() {
+		cost *= 2
+	}
+	return cost <= nRows*scanCostRatio
+}
+
+// postingTable fills one candidate's contingency table by bitmap
+// algebra: cell (x, y) is the fused intersect-popcount
+// |posting[x] ∩ classBmp[y] ∩ bm|, no row enumerated.
+func postingTable(col *dataview.Column, clsBmps []*dataset.Bitmap, bm *dataset.Bitmap) *stats.ContingencyTable {
+	t := stats.NewContingencyTable(col.Cardinality(), len(clsBmps))
+	posts := col.Postings()
+	for x := 0; x < col.Cardinality() && x < len(posts); x++ {
+		for y, cb := range clsBmps {
+			if n := posts[x].AndLen3(cb, bm); n > 0 {
+				t.Counts[x][y] = n
+			}
+		}
+	}
+	return t
+}
+
 // fillTablesBitmap builds the same contingency tables as fillTablesScan
-// by bitmap algebra: cell (x, y) of candidate j is the fused
-// intersect-popcount |posting_j[x] ∩ classBmp[y]|, no row enumerated.
-// Work scales with card·classes·words instead of rows·candidates, so the
-// caller dispatches per candidate on estimated cost: candidates whose
-// posting sweep would cost more than the row sweep (high cardinality,
-// small row sets) fall back to one shared fillTablesScan over the
-// materialized rows. Cells are exact counts either way, so the split is
-// invisible in the output. Cancellation is checked per candidate.
-func fillTablesBitmap(ctx context.Context, v *dataview.View, cols []*dataview.Column, bm *dataset.Bitmap, classAttr string, forceBitmap bool) ([]*stats.ContingencyTable, int, error) {
+// over the rows of bm. Bitmap work (postingTable) scales with
+// card·classes·words instead of rows·candidates, so it dispatches per
+// candidate on estimated cost (fillByBitmap): candidates whose posting
+// sweep would cost more than the row sweep (high cardinality, small row
+// sets) fall back to one shared fillTablesScan over the materialized
+// rows. Cells are exact counts either way, so the split is invisible in
+// the output. Cancellation is checked per candidate.
+func fillTablesBitmap(ctx context.Context, v *dataview.View, cols []*dataview.Column, bm *dataset.Bitmap, classAttr string) ([]*stats.ContingencyTable, error) {
 	clsBmps, clsCodes, err := classBitmaps(v, bm, classAttr)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	nClasses := len(clsBmps)
 	nRows := bm.Len()
@@ -250,15 +279,7 @@ func fillTablesBitmap(ctx context.Context, v *dataview.View, cols []*dataview.Co
 	byBitmap := make([]bool, len(cols))
 	var catCols []int
 	for j, col := range cols {
-		// A candidate whose postings are not yet materialized must promise
-		// roughly double the win before the bitmap branch is worth the
-		// one-time posting build it triggers; warm candidates fill by
-		// bitmap whenever the sweep itself is cheaper than the row scan.
-		cost := col.Cardinality() * nClasses * words
-		if !col.PostingsReady() {
-			cost *= 2
-		}
-		byBitmap[j] = forceBitmap || cost <= nRows*scanCostRatio
+		byBitmap[j] = fillByBitmap(col, nClasses, words, nRows)
 		if byBitmap[j] && col.Kind == dataset.Categorical {
 			catCols = append(catCols, col.Col)
 		}
@@ -290,17 +311,7 @@ func fillTablesBitmap(ctx context.Context, v *dataview.View, cols []*dataview.Co
 			return
 		}
 		j := bmIdx[i]
-		col := cols[j]
-		t := stats.NewContingencyTable(col.Cardinality(), nClasses)
-		posts := col.Postings()
-		for x := 0; x < col.Cardinality() && x < len(posts); x++ {
-			for y, cb := range clsBmps {
-				if n := posts[x].AndLen3(cb, bm); n > 0 {
-					t.Counts[x][y] = n
-				}
-			}
-		}
-		tables[j] = t
+		tables[j] = postingTable(cols[j], clsBmps, bm)
 	}
 	if len(bmIdx) >= minConcurrentCandidates {
 		parallel.Do(len(bmIdx), fillOne)
@@ -310,7 +321,7 @@ func fillTablesBitmap(ctx context.Context, v *dataview.View, cols []*dataview.Co
 		}
 	}
 	if canceled.Load() {
-		return nil, 0, ctx.Err()
+		return nil, ctx.Err()
 	}
 	if len(scanCols) > 0 {
 		// Shared row sweep for the candidates where scanning is cheaper.
@@ -318,7 +329,7 @@ func fillTablesBitmap(ctx context.Context, v *dataview.View, cols []*dataview.Co
 		// numbering (clsBmps are already in that order).
 		cc, err := v.Column(classAttr)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		remap := make([]int, cc.Cardinality())
 		for y, code := range clsCodes {
@@ -335,13 +346,13 @@ func fillTablesBitmap(ctx context.Context, v *dataview.View, cols []*dataview.Co
 		}
 		scanTables, err := fillTablesScan(ctx, scanCols, rows, cls, nClasses)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		for i, j := range scanIdx {
 			tables[j] = scanTables[i]
 		}
 	}
-	return tables, nClasses, nil
+	return tables, nil
 }
 
 // rankEach computes out[j] = score(j) for every candidate, concurrently
@@ -399,11 +410,8 @@ func ChiSquareContext(ctx context.Context, v *dataview.View, rows dataset.RowSet
 // ChiSquareBitmapContext is ChiSquareContext with the row subset given as
 // a bitmap: contingency tables come from posting-bitmap algebra (see
 // fillTablesBitmap) and the scores are identical to the scan path's. The
-// bitmap must be over the table's row universe. forceBitmap disables the
-// per-candidate cost dispatch and fills every table by bitmap — callers
-// that must exercise the bitmap machinery end to end (forced-path
-// equivalence runs) set it; production callers leave it false.
-func ChiSquareBitmapContext(ctx context.Context, v *dataview.View, bm *dataset.Bitmap, classAttr string, candidates []string, forceBitmap bool) ([]Score, error) {
+// bitmap must be over the table's row universe.
+func ChiSquareBitmapContext(ctx context.Context, v *dataview.View, bm *dataset.Bitmap, classAttr string, candidates []string) ([]Score, error) {
 	cols, err := resolveCandidates(v, classAttr, candidates)
 	if err != nil {
 		return nil, err
@@ -411,7 +419,7 @@ func ChiSquareBitmapContext(ctx context.Context, v *dataview.View, bm *dataset.B
 	if bm.Len() == 0 {
 		return nil, fmt.Errorf("featsel: empty row set")
 	}
-	tables, _, err := fillTablesBitmap(ctx, v, cols, bm, classAttr, forceBitmap)
+	tables, err := fillTablesBitmap(ctx, v, cols, bm, classAttr)
 	if err != nil {
 		return nil, err
 	}
@@ -462,28 +470,8 @@ func MutualInformationContext(ctx context.Context, v *dataview.View, rows datase
 	return miScores(tables, candidates, nClasses, len(rows))
 }
 
-// MutualInformationBitmapContext is MutualInformationContext with the row
-// subset given as a bitmap; tables come from posting-bitmap algebra and
-// the scores are identical to the scan path's. forceBitmap is as in
-// ChiSquareBitmapContext.
-func MutualInformationBitmapContext(ctx context.Context, v *dataview.View, bm *dataset.Bitmap, classAttr string, candidates []string, forceBitmap bool) ([]Score, error) {
-	cols, err := resolveCandidates(v, classAttr, candidates)
-	if err != nil {
-		return nil, err
-	}
-	nRows := bm.Len()
-	if nRows == 0 {
-		return nil, fmt.Errorf("featsel: empty row set")
-	}
-	tables, nClasses, err := fillTablesBitmap(ctx, v, cols, bm, classAttr, forceBitmap)
-	if err != nil {
-		return nil, err
-	}
-	return miScores(tables, candidates, nClasses, nRows)
-}
-
 // miScores turns per-candidate contingency tables into the sorted mutual
-// information ranking; shared by the scan and bitmap entry points.
+// information ranking.
 func miScores(tables []*stats.ContingencyTable, candidates []string, nClasses, nRows int) ([]Score, error) {
 	n := float64(nRows)
 	out, err := rankEach(len(candidates), func(j int) (Score, error) {

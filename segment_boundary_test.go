@@ -1,14 +1,16 @@
 // Top-level segment-boundary equivalence: tables whose row counts land
 // on every awkward segment shape — well inside one segment, one row past
 // a segment edge, and an exact multiple of the segment size — must
-// produce bit-identical CAD Views across build paths, facet digests that
-// match independent row scans, and compiled predicate plans that select
-// the same rows cold (no postings yet) and warm.
+// produce CAD Views whose bitmap-ranked build matches the row-set-ranked
+// one bit for bit and whose pivot rows match a row loop, facet digests
+// that match independent row scans, and compiled predicate plans that
+// select the same rows cold (no postings yet) and warm.
 package dbexplorer_test
 
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"dbexplorer/internal/core"
@@ -17,6 +19,7 @@ import (
 	"dbexplorer/internal/dataview"
 	"dbexplorer/internal/expr"
 	"dbexplorer/internal/facet"
+	"dbexplorer/internal/featsel"
 )
 
 // boundaryRowCounts covers a single partial segment, a one-row tail
@@ -40,6 +43,82 @@ func boundaryZipf(n int) *dataset.Table {
 		{Name: "c0", Card: 50, S: 1.3},
 		{Name: "c1", Card: 40, S: 1.2},
 	}, int64(n))
+}
+
+// interpretRows is the row-at-a-time interpreter: the rows of the input
+// on which e.Eval holds, in input order.
+func interpretRows(t *dataset.Table, rows dataset.RowSet, e expr.Expr) (dataset.RowSet, error) {
+	if err := e.Validate(t); err != nil {
+		return nil, err
+	}
+	out := dataset.RowSet{}
+	for _, r := range rows {
+		ok, err := e.Eval(t, r)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
+// checkBoundaryCADView builds the boundary CAD View over rows twice —
+// with the default ranker, which ranks Compare Attributes from
+// posting-bitmap contingency tables, and with the row-set chi-square
+// ranker, whose tables come from a row scan — and requires the two to be
+// structurally equal and render identically. The pivot rows must carry
+// the values and counts of a plain row loop (count descending, value
+// ascending). It returns the default build.
+func checkBoundaryCADView(t *testing.T, v *dataview.View, rows dataset.RowSet) *core.CADView {
+	t.Helper()
+	cfg := core.Config{Pivot: "c0", MaxCompare: 2, K: 2, L: 3, Seed: 1}
+	got, _, err := core.Build(v, rows, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := cfg
+	scan.Ranker = featsel.ChiSquareContext
+	want, _, err := core.Build(v, rows, scan)
+	if err != nil {
+		t.Fatalf("row-set ranker build: %v", err)
+	}
+	if core.Render(want, nil) != core.Render(got, nil) {
+		t.Error("rendered CAD View differs from the row-set ranker build")
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("CAD View structure differs from the row-set ranker build")
+	}
+	pivotCol, err := v.Column(cfg.Pivot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	for _, r := range rows {
+		if c := pivotCol.Code(r); c >= 0 {
+			counts[pivotCol.Label(c)]++
+		}
+	}
+	wantVals := make([]string, 0, len(counts))
+	for val := range counts {
+		wantVals = append(wantVals, val)
+	}
+	sort.Slice(wantVals, func(i, j int) bool {
+		if counts[wantVals[i]] != counts[wantVals[j]] {
+			return counts[wantVals[i]] > counts[wantVals[j]]
+		}
+		return wantVals[i] < wantVals[j]
+	})
+	if len(got.Rows) != len(wantVals) {
+		t.Fatalf("CAD View has %d pivot rows, row loop finds %d values", len(got.Rows), len(wantVals))
+	}
+	for i, row := range got.Rows {
+		if row.Value != wantVals[i] || row.Count != counts[wantVals[i]] {
+			t.Fatalf("pivot row %d = %s:%d, row loop %s:%d", i, row.Value, row.Count, wantVals[i], counts[wantVals[i]])
+		}
+	}
+	return got
 }
 
 // tableRows extracts rows [lo, hi) of t in AppendBatch form.
@@ -83,7 +162,8 @@ func warmTableIndex(tbl *dataset.Table) *dataset.Index {
 // requires the extended table to be indistinguishable from a reference
 // table built with all rows from the start: identical compiled-predicate
 // row sets, facet digests (both the posting-bitmap session path and the
-// row-scan path), and rendered plus structural CAD Views.
+// row-scan path), and rendered plus structural CAD Views (each also
+// checked against its row-set-ranked build and a pivot row loop).
 func TestAppendBoundaryEquivalence(t *testing.T) {
 	for _, shape := range appendBoundaryShapes {
 		n0, n1 := shape[0], shape[1]
@@ -156,24 +236,13 @@ func TestAppendBoundaryEquivalence(t *testing.T) {
 			}
 
 			// CAD Views: bit-identical structure and rendering.
-			cfg := core.Config{Pivot: "c0", MaxCompare: 2, K: 2, L: 3, Seed: 1}
-			for _, path := range []core.BuildPath{core.PathScan, core.PathBitmap} {
-				run := cfg
-				run.Path = path
-				got, _, err := core.Build(vG, rows, run)
-				if err != nil {
-					t.Fatalf("path %d (grown): %v", path, err)
-				}
-				want, _, err := core.Build(vR, rows, run)
-				if err != nil {
-					t.Fatalf("path %d (reference): %v", path, err)
-				}
-				if core.Render(got, nil) != core.Render(want, nil) {
-					t.Errorf("path %d: rendered CAD View over the grown table differs from the reference", path)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("path %d: CAD View structure over the grown table differs from the reference", path)
-				}
+			got := checkBoundaryCADView(t, vG, rows)
+			want := checkBoundaryCADView(t, vR, rows)
+			if core.Render(got, nil) != core.Render(want, nil) {
+				t.Error("rendered CAD View over the grown table differs from the reference")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("CAD View structure over the grown table differs from the reference")
 			}
 		})
 	}
@@ -203,7 +272,7 @@ func TestSegmentBoundaryEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantRows, err := expr.SelectInterpreted(tbl, rows, e)
+			wantRows, err := interpretRows(tbl, rows, e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,30 +337,9 @@ func TestSegmentBoundaryEquivalence(t *testing.T) {
 				t.Fatalf("score facet bins = %v, want %v", gotBins, wantBins)
 			}
 
-			// CAD View bit-identity: the scan path is the unsegmented
-			// reference semantics; the segmented posting paths must
-			// render and structure identically on every boundary shape.
-			cfg := core.Config{Pivot: "c0", MaxCompare: 2, K: 2, L: 3, Seed: 1}
-			scan := cfg
-			scan.Path = core.PathScan
-			want, _, err := core.Build(v, rows, scan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, path := range []core.BuildPath{core.PathAuto, core.PathBitmap} {
-				run := cfg
-				run.Path = path
-				got, _, err := core.Build(v, rows, run)
-				if err != nil {
-					t.Fatalf("path %d: %v", path, err)
-				}
-				if core.Render(want, nil) != core.Render(got, nil) {
-					t.Errorf("path %d: rendered CAD View differs from scan reference", path)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("path %d: CAD View structure differs from scan reference", path)
-				}
-			}
+			// CAD Views on every boundary shape: bitmap-ranked ==
+			// row-set-ranked, pivot rows == a row loop.
+			checkBoundaryCADView(t, v, rows)
 		})
 	}
 }
