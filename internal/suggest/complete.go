@@ -93,7 +93,7 @@ func (s *Suggester) Complete(ctx context.Context, input string, opts Options) (*
 		}
 		switch e.Category {
 		case cadql.ExpectValue:
-			vs, err := s.valueCandidates(ctx, p, e.Attr)
+			vs, err := s.valueCandidates(ctx, p, e.Attr, e.Op)
 			if err != nil {
 				return nil, err
 			}
@@ -149,10 +149,10 @@ func (s *Suggester) Complete(ctx context.Context, input string, opts Options) (*
 }
 
 // valueCandidates ranks the values of one categorical attribute under
-// the prefix: Score = selectivity × interest, dead-ends last. For a
-// numeric attribute an equality frontier gets threshold candidates
-// instead.
-func (s *Suggester) valueCandidates(ctx context.Context, p *prefix, attr string) ([]Candidate, error) {
+// the prefix: Score = selectivity × interest, dead-ends last. A numeric
+// attribute gets numeric literal candidates for the typed operator op
+// instead (numberCandidates).
+func (s *Suggester) valueCandidates(ctx context.Context, p *prefix, attr, op string) ([]Candidate, error) {
 	if attr == "" {
 		return nil, nil
 	}
@@ -161,7 +161,7 @@ func (s *Suggester) valueCandidates(ctx context.Context, p *prefix, attr string)
 		return nil, err
 	}
 	if col.Kind == dataset.Numeric {
-		return s.numberCandidates(ctx, p, attr, "=")
+		return s.numberCandidates(ctx, p, attr, op)
 	}
 	if err := fault.Hit(ctx, fault.PointSuggestRank); err != nil {
 		return nil, err
@@ -208,7 +208,7 @@ func (s *Suggester) numberCandidates(ctx context.Context, p *prefix, attr, op st
 		return nil, err
 	}
 	if col.Kind != dataset.Numeric {
-		return s.valueCandidates(ctx, p, attr)
+		return s.valueCandidates(ctx, p, attr, op)
 	}
 	if err := fault.Hit(ctx, fault.PointSuggestRank); err != nil {
 		return nil, err

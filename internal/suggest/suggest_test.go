@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strconv"
 	"testing"
 
 	"dbexplorer/internal/cadql"
@@ -134,6 +135,51 @@ func TestCompleteNumberPosition(t *testing.T) {
 	}
 	if nums == 0 {
 		t.Fatalf("no numeric candidates in %v", c.Candidates)
+	}
+}
+
+// TestCompleteNumericFrontierKeepsOperator: at a numeric value frontier
+// the typed operator decides what each threshold candidate counts —
+// "Price < x" must count the rows strictly below x (NaN cells match no
+// comparison), not the rows equal to x.
+func TestCompleteNumericFrontierKeepsOperator(t *testing.T) {
+	s := carsSuggester(t, 2000)
+	tbl := s.view.Table()
+	price := tbl.Num(tbl.ColIndex("Price"))
+	holds := map[string]func(v, edge float64) bool{
+		"<":  func(v, edge float64) bool { return v < edge },
+		"<=": func(v, edge float64) bool { return v <= edge },
+		">":  func(v, edge float64) bool { return v > edge },
+		">=": func(v, edge float64) bool { return v >= edge },
+	}
+	for op, holds := range holds {
+		c, err := s.Complete(context.Background(), "SELECT * FROM UsedCars WHERE Price "+op+" ", Options{Limit: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nums := 0
+		for _, cand := range c.Candidates {
+			if cand.Category != cadql.ExpectNumber {
+				continue
+			}
+			nums++
+			edge, err := strconv.ParseFloat(cand.Text, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			for r := 0; r < tbl.NumRows(); r++ {
+				if holds(price.Value(r), edge) {
+					want++
+				}
+			}
+			if cand.Count != want {
+				t.Errorf("Price %s %s: count %d, want %d", op, cand.Text, cand.Count, want)
+			}
+		}
+		if nums == 0 {
+			t.Fatalf("Price %s: no numeric candidates in %v", op, c.Candidates)
+		}
 	}
 }
 
