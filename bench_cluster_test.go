@@ -22,7 +22,7 @@ func clusterKernelPoints(b *testing.B) *cluster.SparsePoints {
 	b.Helper()
 	fixtures(b)
 	attrs := []string{"Model", "Drivetrain", "FuelEconomy", "BodyType", "Engine", "Price"}
-	sp, _, err := cluster.EncodeSparse(carView, carRows[:8000], attrs)
+	sp, _, err := cluster.EncodeSparse(carView, carRows[:8000].Bitmap(carView.Rows()), attrs)
 	if err != nil {
 		b.Fatal(err)
 	}

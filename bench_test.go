@@ -275,44 +275,18 @@ func BenchmarkAblationBinning(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationClustering contrasts one-hot k-means (the paper's
-// choice via Weka SimpleKMeans) with categorical k-modes on the same
-// rows.
+// BenchmarkAblationClustering times one-hot k-means (the paper's choice
+// via Weka SimpleKMeans) on 8,000 car rows.
 func BenchmarkAblationClustering(b *testing.B) {
 	fixtures(b)
 	attrs := []string{"Model", "Engine", "Drivetrain", "Price", "Year"}
-	rows := carRows[:8000]
-	cols := make([]*dataview.Column, len(attrs))
-	cards := make([]int, len(attrs))
-	for i, a := range attrs {
-		c, err := carView.Column(a)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cols[i] = c
-		cards[i] = c.Cardinality()
-	}
-	codes := make([][]int, len(rows))
-	for i, r := range rows {
-		codes[i] = make([]int, len(cols))
-		for a, c := range cols {
-			codes[i][a] = c.Code(r)
-		}
-	}
-	sparse, _, err := cluster.EncodeSparse(carView, rows, attrs)
+	sparse, _, err := cluster.EncodeSparse(carView, carRows[:8000].Bitmap(carView.Rows()), attrs)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("kmeans-sparse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := cluster.KMeans(sparse, 10, cluster.Options{Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("kmodes", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cluster.KModes(codes, cards, 10, cluster.Options{Seed: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -399,7 +373,7 @@ func BenchmarkAblationSummarizer(b *testing.B) {
 func BenchmarkAblationSampledClustering(b *testing.B) {
 	fixtures(b)
 	attrs := []string{"Model", "Engine", "Drivetrain", "Price", "Year"}
-	sparse, _, err := cluster.EncodeSparse(carView, carRows, attrs)
+	sparse, _, err := cluster.EncodeSparse(carView, carRows.Bitmap(carView.Rows()), attrs)
 	if err != nil {
 		b.Fatal(err)
 	}

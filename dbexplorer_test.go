@@ -192,3 +192,19 @@ func TestFacadeMushroom(t *testing.T) {
 		t.Errorf("mushroom dims = (%d,%d)", m.NumRows(), m.NumCols())
 	}
 }
+
+// TestBuildCADViewRowsPastView: a view is a row snapshot. Rows appended
+// after it are outside it, and the build reports them as an error.
+func TestBuildCADViewRowsPastView(t *testing.T) {
+	cars := dbexplorer.UsedCars(2000, 1)
+	view, err := dbexplorer.NewView(cars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cars.AppendBatch(tableRows(cars, 0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := dbexplorer.BuildCADView(view, dbexplorer.AllRows(cars.NumRows()), dbexplorer.CADConfig{Pivot: "Make"}); err == nil {
+		t.Fatal("rows past the view's snapshot: want an error")
+	}
+}

@@ -78,14 +78,6 @@ type parser struct {
 
 func (p *parser) peek() token { return p.toks[p.pos] }
 
-func (p *parser) next() token {
-	t := p.toks[p.pos]
-	if t.kind != tokEOF {
-		p.pos++
-	}
-	return t
-}
-
 // want records a failed expectation at the current token (recovery mode
 // only). Value and number expectations carry the predicate context.
 func (p *parser) want(category, label string) {

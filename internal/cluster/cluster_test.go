@@ -38,7 +38,7 @@ func twoGroupView(t *testing.T, n int, seed int64) (*dataview.View, dataset.RowS
 
 func TestEncode(t *testing.T) {
 	v, rows, _ := twoGroupView(t, 20, 1)
-	sp, enc, err := EncodeSparse(v, rows, []string{"Engine", "Drive", "Price"})
+	sp, enc, err := EncodeSparse(v, rows.Bitmap(v.Rows()), []string{"Engine", "Drive", "Price"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestEncode(t *testing.T) {
 	// implicit one-hot row has exactly one 1 per block.
 	for i := 0; i < sp.N; i++ {
 		for a, code := range sp.RowCodes(i) {
-			lo, hi := enc.Block(a)
+			lo, hi := enc.Offsets[a], enc.Offsets[a+1]
 			if code < 0 || int(code) >= hi-lo || int(code) >= enc.Cards[a] {
 				t.Fatalf("row %d attr %d code %d outside block [%d, %d)", i, a, code, lo, hi)
 			}
@@ -68,10 +68,10 @@ func TestEncode(t *testing.T) {
 
 func TestEncodeErrors(t *testing.T) {
 	v, rows, _ := twoGroupView(t, 5, 2)
-	if _, _, err := EncodeSparse(v, rows, nil); err == nil {
+	if _, _, err := EncodeSparse(v, rows.Bitmap(v.Rows()), nil); err == nil {
 		t.Error("no attrs: want error")
 	}
-	if _, _, err := EncodeSparse(v, rows, []string{"Nope"}); err == nil {
+	if _, _, err := EncodeSparse(v, rows.Bitmap(v.Rows()), []string{"Nope"}); err == nil {
 		t.Error("unknown attr: want error")
 	}
 }
@@ -79,7 +79,7 @@ func TestEncodeErrors(t *testing.T) {
 // encodeGroups encodes twoGroupView's three attributes sparsely.
 func encodeGroups(t *testing.T, v *dataview.View, rows dataset.RowSet) *SparsePoints {
 	t.Helper()
-	sp, _, err := EncodeSparse(v, rows, []string{"Engine", "Drive", "Price"})
+	sp, _, err := EncodeSparse(v, rows.Bitmap(v.Rows()), []string{"Engine", "Drive", "Price"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +111,8 @@ func TestKMeansSeparatesGroups(t *testing.T) {
 	if correct < 195 {
 		t.Errorf("separation: %d/200 correct", correct)
 	}
-	sizes := res.Sizes()
-	if sizes[0]+sizes[1] != 200 {
-		t.Errorf("sizes = %v", sizes)
+	if len(res.Assign) != 200 {
+		t.Errorf("%d assignments, want 200", len(res.Assign))
 	}
 }
 
@@ -216,14 +215,7 @@ func TestKMeansInvariantProperty(t *testing.T) {
 				return false
 			}
 		}
-		total := 0
-		for _, s := range res.Sizes() {
-			if s < 0 {
-				return false
-			}
-			total += s
-		}
-		return total == n
+		return len(res.Assign) == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -251,55 +243,5 @@ func TestKMeansRestarts(t *testing.T) {
 	}
 	if again.Inertia != multi.Inertia {
 		t.Error("restarted fit not deterministic")
-	}
-}
-
-func TestKModes(t *testing.T) {
-	// Two clean categorical groups.
-	var codes [][]int
-	for i := 0; i < 50; i++ {
-		codes = append(codes, []int{0, 0, 0})
-	}
-	for i := 0; i < 50; i++ {
-		codes = append(codes, []int{1, 1, 1})
-	}
-	res, err := KModes(codes, []int{2, 2, 2}, 2, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost != 0 {
-		t.Errorf("clean groups should have zero cost, got %d", res.Cost)
-	}
-	if res.Assign[0] == res.Assign[99] {
-		t.Error("groups not separated")
-	}
-	if res.Assign[0] != res.Assign[49] || res.Assign[50] != res.Assign[99] {
-		t.Error("group members split")
-	}
-}
-
-func TestKModesErrors(t *testing.T) {
-	if _, err := KModes(nil, []int{2}, 2, Options{}); err == nil {
-		t.Error("no rows: want error")
-	}
-	if _, err := KModes([][]int{{0}}, []int{2}, 0, Options{}); err == nil {
-		t.Error("k=0: want error")
-	}
-	if _, err := KModes([][]int{{0}}, []int{2, 2}, 1, Options{}); err == nil {
-		t.Error("card mismatch: want error")
-	}
-	if _, err := KModes([][]int{{0, 1}, {0}}, []int{2, 2}, 1, Options{}); err == nil {
-		t.Error("ragged rows: want error")
-	}
-	if _, err := KModes([][]int{{}}, []int{}, 1, Options{}); err == nil {
-		t.Error("zero attrs: want error")
-	}
-	// k > n clamps.
-	res, err := KModes([][]int{{0, 1}}, []int{2, 2}, 5, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.K != 1 {
-		t.Errorf("K = %d", res.K)
 	}
 }

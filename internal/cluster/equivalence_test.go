@@ -22,7 +22,7 @@ func encodeBoth(t *testing.T, v *dataview.View, rows dataset.RowSet, attrs []str
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, sparseEnc, err := EncodeSparse(v, rows, attrs)
+	sparse, sparseEnc, err := EncodeSparse(v, rows.Bitmap(v.Rows()), attrs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,8 @@
 // Package cluster implements the clustering substrate for candidate
 // IUnit generation (paper Problem 1.2): Lloyd's k-means with k-means++
 // seeding over one-hot encodings of the Compare Attributes (matching the
-// paper's use of Weka's SimpleKMeans on discretized data), optional
-// center-fitting on a sample (§6.3 optimizations), and a categorical
-// k-modes variant as an ablation.
+// paper's use of Weka's SimpleKMeans on discretized data) and optional
+// center-fitting on a sample (§6.3 optimizations).
 //
 // There is one production kernel: KMeans over EncodeSparse points, a
 // sparse, weighted, duplicate-collapsing Lloyd pruned by Hamerly/Elkan
@@ -27,11 +26,6 @@ type Encoding struct {
 	Offsets []int
 	// Cards[a] is the cardinality of attribute a.
 	Cards []int
-}
-
-// Block returns the [lo, hi) coordinate range of attribute a.
-func (e *Encoding) Block(a int) (lo, hi int) {
-	return e.Offsets[a], e.Offsets[a+1]
 }
 
 // Options configures KMeans.
@@ -110,13 +104,4 @@ type Result struct {
 	Iters int
 	// Stages breaks the fit's wall time into Lloyd phases.
 	Stages StageTimes
-}
-
-// Sizes returns the number of points assigned to each center.
-func (r *Result) Sizes() []int {
-	sizes := make([]int, r.K)
-	for _, a := range r.Assign {
-		sizes[a]++
-	}
-	return sizes
 }

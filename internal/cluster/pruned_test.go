@@ -159,49 +159,3 @@ func TestPrunedRestartsCancellation(t *testing.T) {
 		t.Fatal("expected cancellation error")
 	}
 }
-
-func TestKModesRestartsDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	n, cards := 600, []int{7, 4, 9}
-	codes := make([][]int, n)
-	for i := range codes {
-		row := make([]int, len(cards))
-		for j, c := range cards {
-			row[j] = rng.Intn(c)
-		}
-		codes[i] = row
-	}
-	opt := Options{Seed: 3, Restarts: 4, MaxIter: 50}
-	first, err := KModes(codes, cards, 5, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := KModes(codes, cards, 5, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Cost != second.Cost {
-		t.Fatalf("cost differs across calls: %v vs %v", first.Cost, second.Cost)
-	}
-	for i := range first.Assign {
-		if first.Assign[i] != second.Assign[i] {
-			t.Fatalf("assignment differs at %d", i)
-		}
-	}
-	var best *KModesResult
-	for r := 0; r < opt.Restarts; r++ {
-		run := opt
-		run.Restarts = 1
-		run.Seed = opt.Seed + int64(r)*1_000_003
-		res, err := KModes(codes, cards, 5, run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if best == nil || res.Cost < best.Cost {
-			best = res
-		}
-	}
-	if best.Cost != first.Cost {
-		t.Fatalf("concurrent winner cost %v != sequential best %v", first.Cost, best.Cost)
-	}
-}

@@ -45,11 +45,12 @@ type SparsePoints struct {
 // RowCodes returns point i's attribute codes as a slice into Codes.
 func (sp *SparsePoints) RowCodes(i int) []int32 { return sp.Codes[i*sp.A : (i+1)*sp.A] }
 
-// EncodeSparse encodes the given attributes of the view over rows in
-// sparse form. The i-th point corresponds to rows[i]; the returned
-// Encoding carries each attribute's block offset and cardinality, so
-// centroids decode back into per-attribute value frequencies.
-func EncodeSparse(v *dataview.View, rows dataset.RowSet, attrs []string) (*SparsePoints, *Encoding, error) {
+// EncodeSparse encodes the given attributes of the view over the rows of
+// bm in sparse form. The i-th point is bm's i-th row in ascending order;
+// the returned Encoding carries each attribute's block offset and
+// cardinality, so centroids decode back into per-attribute value
+// frequencies.
+func EncodeSparse(v *dataview.View, bm *dataset.Bitmap, attrs []string) (*SparsePoints, *Encoding, error) {
 	if len(attrs) == 0 {
 		return nil, nil, fmt.Errorf("cluster: no attributes to encode")
 	}
@@ -67,9 +68,10 @@ func EncodeSparse(v *dataview.View, rows dataset.RowSet, attrs []string) (*Spars
 		dim += c.Cardinality()
 	}
 	enc.Offsets = append(enc.Offsets, dim)
+	n := bm.Len()
 	sp := &SparsePoints{
-		Codes:   make([]int32, len(rows)*len(attrs)),
-		N:       len(rows),
+		Codes:   make([]int32, n*len(attrs)),
+		N:       n,
 		A:       len(attrs),
 		Dim:     dim,
 		Offsets: enc.Offsets,
@@ -92,14 +94,14 @@ func EncodeSparse(v *dataview.View, rows dataset.RowSet, attrs []string) (*Spars
 	for a, c := range cols {
 		codes[a] = c.CodeSegs()
 	}
-	// Hoist the per-attribute segment slices out of the row loop: result
-	// sets arrive in ascending row order, so the segment changes at most
-	// once per 64K rows and the hot cell read is a single indexed load
-	// per attribute. (Unsorted input stays correct — the slices refresh
-	// on every segment switch — it just refreshes more often.)
+	// Hoist the per-attribute segment slices out of the row loop: the
+	// bitmap yields rows in ascending order, so the segment changes at
+	// most once per 64K rows and the hot cell read is a single indexed
+	// load per attribute.
 	segs := make([][]int32, len(cols))
 	curSeg := -1
-	for i, r := range rows {
+	i := 0
+	bm.ForEach(func(r int) {
 		row := sp.Codes[i*sp.A : (i+1)*sp.A]
 		s, off := r>>dataset.SegmentBits, r&dataset.SegmentMask
 		if s != curSeg {
@@ -129,7 +131,8 @@ func EncodeSparse(v *dataview.View, rows dataset.RowSet, attrs []string) (*Spars
 		if key0 != nil {
 			key0[i] = k
 		}
-	}
+		i++
+	})
 	return sp, enc, nil
 }
 

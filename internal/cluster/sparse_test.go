@@ -11,7 +11,7 @@ import (
 func TestCodeCountsByCluster(t *testing.T) {
 	v, rows, _ := twoGroupView(t, 400, 3)
 	attrs := []string{"Engine", "Drive", "Price"}
-	sp, _, err := EncodeSparse(v, rows, attrs)
+	sp, _, err := EncodeSparse(v, rows.Bitmap(v.Rows()), attrs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,14 +160,35 @@ func Build(v *dataview.View, rows dataset.RowSet, cfg Config) (*CADView, Timings
 	return BuildContext(context.Background(), v, rows, cfg)
 }
 
-// BuildContext constructs a CAD View over the result set rows of v's
-// table (paper Problem 1). It returns the view together with its
-// construction timing decomposition. The build has cancellation
-// checkpoints in every expensive stage — the feature-selection
-// contingency sweep, each k-means Lloyd iteration, the diversified top-k
-// expansion, and between pivot rows — so when ctx is canceled or its
-// deadline passes the build stops promptly and returns ctx's error.
+// BuildContext is BuildBitmap over a row set. Every row must lie in the
+// view's row snapshot [0, v.Rows()); the rows are read as a set, so order
+// and duplicates do not matter. Packing them into a bitmap counts toward
+// the Index stage.
 func BuildContext(ctx context.Context, v *dataview.View, rows dataset.RowSet, cfg Config) (*CADView, Timings, error) {
+	start := time.Now()
+	n := v.Rows()
+	for _, r := range rows {
+		if r < 0 || r >= n {
+			return nil, Timings{}, fmt.Errorf("core: result row %d is outside the view's %d rows", r, n)
+		}
+	}
+	bm := rows.Bitmap(n)
+	pack := time.Since(start)
+	view, tm, err := BuildBitmap(ctx, v, bm, cfg)
+	tm.Index += pack
+	return view, tm, err
+}
+
+// BuildBitmap constructs a CAD View over the result set bm of v's table
+// (paper Problem 1). bm's universe must be the view's row snapshot
+// v.Rows(); the build reads bm and never modifies it. It returns the view
+// together with its construction timing decomposition. The build has
+// cancellation checkpoints in every expensive stage — the
+// feature-selection contingency sweep, each k-means Lloyd iteration, the
+// diversified top-k expansion, and between pivot rows — so when ctx is
+// canceled or its deadline passes the build stops promptly and returns
+// ctx's error.
+func BuildBitmap(ctx context.Context, v *dataview.View, bm *dataset.Bitmap, cfg Config) (*CADView, Timings, error) {
 	var tm Timings
 	if err := fault.Hit(ctx, fault.PointCoreBuild); err != nil {
 		return nil, tm, err
@@ -180,22 +201,25 @@ func BuildContext(ctx context.Context, v *dataview.View, rows dataset.RowSet, cf
 	if err != nil {
 		return nil, tm, err
 	}
-	if len(rows) == 0 {
+	if bm.Universe() != v.Rows() {
+		return nil, tm, fmt.Errorf("core: result bitmap spans %d rows, the view %d", bm.Universe(), v.Rows())
+	}
+	if bm.Len() == 0 {
 		return nil, tm, fmt.Errorf("core: empty result set")
 	}
 
-	// The build enters bitmap algebra once at the top: pack the result
-	// set and warm the pivot's posting sets, so the one-off posting
-	// construction is attributed to the Index stage instead of smeared
-	// over feature selection. On a warm table this stage is the cost of
-	// packing one bitmap.
+	// Warm the pivot's posting sets first, so their one-off construction
+	// is attributed to the Index stage instead of smeared over feature
+	// selection. On a warm view this stage is ~0. Only the pivot warms
+	// eagerly — every other posting set builds lazily behind a per-stage
+	// cost dispatch (featsel's per-candidate split), so narrow results
+	// over wide tables never pay for postings no stage ends up using.
 	start := time.Now()
-	bm := rows.Bitmap(v.Rows())
-	warmPivotPostings(v, cfg.Pivot)
+	pivotCol.Postings()
 	tm.Index = time.Since(start)
 
 	// Resolve pivot values and their row subsets.
-	pivotValues, rowsByValue, bmByValue, err := resolvePivotValuesBitmap(pivotCol, bm, cfg.PivotValues)
+	pivotValues, bmByValue, err := resolvePivotValuesBitmap(pivotCol, bm, cfg.PivotValues)
 	if err != nil {
 		return nil, tm, err
 	}
@@ -207,10 +231,8 @@ func BuildContext(ctx context.Context, v *dataview.View, rows dataset.RowSet, cf
 	bmV := bm
 	if len(cfg.PivotValues) > 0 {
 		bmV = dataset.NewBitmap(bm.Universe())
-		for _, val := range pivotValues {
-			if b := bmByValue[val]; b != nil {
-				bmV.OrWith(b)
-			}
+		for _, b := range bmByValue {
+			bmV.OrWith(b)
 		}
 	}
 	if bmV.Len() == 0 {
@@ -234,15 +256,14 @@ func BuildContext(ctx context.Context, v *dataview.View, rows dataset.RowSet, cf
 	}
 
 	// Problems 1.2 and 2 per pivot value: cluster, label, diversify.
-	for _, val := range pivotValues {
-		view.Rows = append(view.Rows, &PivotRow{Value: val, Count: len(rowsByValue[val])})
+	for vi, val := range pivotValues {
+		view.Rows = append(view.Rows, &PivotRow{Value: val, Count: bmByValue[vi].Len()})
 	}
 	if cfg.Parallel {
 		errs := make([]error, len(pivotValues))
 		times := make([]Timings, len(pivotValues))
 		parallel.Do(len(pivotValues), func(vi int) {
-			val := view.Rows[vi].Value
-			errs[vi] = buildPivotRow(ctx, v, view, view.Rows[vi], rowsByValue[val], cfg, int64(vi), &times[vi])
+			errs[vi] = buildPivotRow(ctx, v, view, view.Rows[vi], bmByValue[vi], cfg, int64(vi), &times[vi])
 		})
 		for vi := range pivotValues {
 			if errs[vi] != nil {
@@ -254,8 +275,7 @@ func BuildContext(ctx context.Context, v *dataview.View, rows dataset.RowSet, cf
 		}
 	} else {
 		for vi := range pivotValues {
-			val := view.Rows[vi].Value
-			if err := buildPivotRow(ctx, v, view, view.Rows[vi], rowsByValue[val], cfg, int64(vi), &tm); err != nil {
+			if err := buildPivotRow(ctx, v, view, view.Rows[vi], bmByValue[vi], cfg, int64(vi), &tm); err != nil {
 				return nil, tm, err
 			}
 		}
@@ -263,11 +283,12 @@ func BuildContext(ctx context.Context, v *dataview.View, rows dataset.RowSet, cf
 	return view, tm, nil
 }
 
-// buildPivotRow runs Problems 1.2 and 2 for one pivot value: encode,
-// cluster (with the fixed-l or auto-l policy), label, score, and keep
-// the diversified top-k. Timing accumulates into tm.
-func buildPivotRow(ctx context.Context, v *dataview.View, view *CADView, row *PivotRow, rowsVal dataset.RowSet, cfg Config, valIndex int64, tm *Timings) error {
-	if len(rowsVal) == 0 {
+// buildPivotRow runs Problems 1.2 and 2 for one pivot value over that
+// value's result rows: encode, cluster (with the fixed-l or auto-l
+// policy), label, score, and keep the diversified top-k. Timing
+// accumulates into tm.
+func buildPivotRow(ctx context.Context, v *dataview.View, view *CADView, row *PivotRow, rowsVal *dataset.Bitmap, cfg Config, valIndex int64, tm *Timings) error {
+	if rowsVal.Len() == 0 {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
@@ -476,32 +497,18 @@ func sampleRowsBitmap(bm *dataset.Bitmap, size int, seed int64) dataset.RowSet {
 	return out
 }
 
-// resolvePivotValuesBitmap returns the pivot rows' display order and
-// each value's row subset (ascending) and posting intersection, driven
-// by the pivot column's posting sets: each pivot code's result-set rows
-// are the intersection of its posting bitmap with the result bitmap,
-// counted by fused popcount and materialized only for values that
-// actually occur. Explicit values are validated against the column
-// domain; the default order is count descending, label ascending — a
-// total order, so it is reproducible bit for bit.
-func resolvePivotValuesBitmap(pivotCol *dataview.Column, bm *dataset.Bitmap, explicit []string) ([]string, map[string]dataset.RowSet, map[string]*dataset.Bitmap, error) {
+// resolvePivotValuesBitmap returns the pivot rows' display order and,
+// aligned with it, each value's result rows: the intersection of the
+// value's posting set with the result bitmap. Explicit values are
+// validated against the column domain; the default order is every value
+// that occurs, count descending, label ascending — a total order, so it
+// is reproducible bit for bit.
+func resolvePivotValuesBitmap(pivotCol *dataview.Column, bm *dataset.Bitmap, explicit []string) ([]string, []*dataset.Bitmap, error) {
 	posts := pivotCol.Postings()
-	rowsByValue := make(map[string]dataset.RowSet)
-	bmByValue := make(map[string]*dataset.Bitmap)
-	materialize := func(val string, code int) {
-		b := posts[code].And(bm)
-		if b.Len() == 0 {
-			return
-		}
-		rs := make(dataset.RowSet, 0, b.Len())
-		b.ForEach(func(r int) { rs = append(rs, r) })
-		rowsByValue[val] = rs
-		bmByValue[val] = b
-	}
-
 	if len(explicit) > 0 {
 		seen := make(map[string]bool)
 		var values []string
+		var bms []*dataset.Bitmap
 		for _, val := range explicit {
 			if seen[val] {
 				continue
@@ -509,40 +516,28 @@ func resolvePivotValuesBitmap(pivotCol *dataview.Column, bm *dataset.Bitmap, exp
 			seen[val] = true
 			code := pivotCol.CodeOf(val)
 			if code < 0 {
-				return nil, nil, nil, fmt.Errorf("core: pivot attribute %q has no value %q", pivotCol.Attr, val)
+				return nil, nil, fmt.Errorf("core: pivot attribute %q has no value %q", pivotCol.Attr, val)
 			}
 			values = append(values, val)
-			materialize(val, code)
+			bms = append(bms, posts[code].And(bm))
 		}
-		return values, rowsByValue, bmByValue, nil
+		return values, bms, nil
 	}
 
-	// Count every code first (cheap fused popcounts), then materialize
-	// the surviving values' intersections concurrently — each writes its
-	// own slot, and the maps are assembled after the pool drains.
+	// Intersect every code concurrently — each writes its own slot — and
+	// keep the values that occur.
+	all := make([]*dataset.Bitmap, len(posts))
+	parallel.Do(len(posts), func(code int) { all[code] = posts[code].And(bm) })
 	type vc struct {
-		code  int
 		val   string
 		count int
+		bm    *dataset.Bitmap
 	}
-	counts := make([]int, len(posts))
-	parallel.Do(len(posts), func(code int) { counts[code] = posts[code].AndLen(bm) })
 	var ranked []vc
-	for code, n := range counts {
-		if n > 0 {
-			ranked = append(ranked, vc{code, pivotCol.Label(code), n})
+	for code, b := range all {
+		if n := b.Len(); n > 0 {
+			ranked = append(ranked, vc{pivotCol.Label(code), n, b})
 		}
-	}
-	bms := make([]*dataset.Bitmap, len(ranked))
-	rss := make([]dataset.RowSet, len(ranked))
-	parallel.Do(len(ranked), func(i int) {
-		b := posts[ranked[i].code].And(bm)
-		bms[i] = b
-		rss[i] = b.ToRowSet()
-	})
-	for i, r := range ranked {
-		rowsByValue[r.val] = rss[i]
-		bmByValue[r.val] = bms[i]
 	}
 	sort.Slice(ranked, func(i, j int) bool {
 		if ranked[i].count != ranked[j].count {
@@ -551,32 +546,21 @@ func resolvePivotValuesBitmap(pivotCol *dataview.Column, bm *dataset.Bitmap, exp
 		return ranked[i].val < ranked[j].val
 	})
 	values := make([]string, len(ranked))
+	bms := make([]*dataset.Bitmap, len(ranked))
 	for i, r := range ranked {
-		values[i] = r.val
+		values[i], bms[i] = r.val, r.bm
 	}
-	return values, rowsByValue, bmByValue, nil
-}
-
-// warmPivotPostings materializes the pivot column's posting sets before
-// the partition so their construction cost lands in the Index timing
-// stage; on a warm view every call after the first is a no-op. Only the
-// pivot warms eagerly — every other posting set builds lazily behind a
-// per-stage cost dispatch (featsel's per-candidate split), so narrow
-// results over wide tables never pay for postings no stage ends up
-// using.
-func warmPivotPostings(v *dataview.View, pivot string) {
-	if c, err := v.Column(pivot); err == nil {
-		c.Postings()
-	}
+	return values, bms, nil
 }
 
 // makeIUnits converts the clustering of one pivot value's rows into
-// labeled candidate IUnits. Label frequency tables come from the sparse
+// labeled candidate IUnits; point i of the clustering is rowsVal's i-th
+// row in ascending order. Label frequency tables come from the sparse
 // points' duplicate-collapsed groups — weight[g] rows at a time — rather
 // than re-reading every member row per Compare Attribute; the counts are
 // the same integers either way (groups share codes and, by construction
 // of the k-means result, cluster assignment).
-func makeIUnits(v *dataview.View, pivotValue string, rowsVal dataset.RowSet, km *cluster.Result, points *cluster.SparsePoints, compareAttrs []string, cfg Config) ([]*IUnit, error) {
+func makeIUnits(v *dataview.View, pivotValue string, rowsVal *dataset.Bitmap, km *cluster.Result, points *cluster.SparsePoints, compareAttrs []string, cfg Config) ([]*IUnit, error) {
 	// Partition rows by cluster into one exactly-sized backing array —
 	// per-cluster appends would reallocate log-many times per cluster on
 	// every pivot value. Full slice expressions keep a later append on one
@@ -592,9 +576,12 @@ func makeIUnits(v *dataview.View, pivotValue string, rowsVal dataset.RowSet, km 
 		members[c] = buf[off : off : off+s]
 		off += s
 	}
-	for i, a := range km.Assign {
-		members[a] = append(members[a], rowsVal[i])
-	}
+	i := 0
+	rowsVal.ForEach(func(r int) {
+		a := km.Assign[i]
+		members[a] = append(members[a], r)
+		i++
+	})
 	countsBy := points.CodeCountsByCluster(km.Assign, km.K)
 	var out []*IUnit
 	for c, rows := range members {

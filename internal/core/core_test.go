@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -206,6 +207,12 @@ func TestBuildErrors(t *testing.T) {
 	if _, _, err := Build(v, nil, Config{Pivot: "Make"}); err == nil {
 		t.Error("empty rows: want error")
 	}
+	if _, _, err := Build(v, dataset.RowSet{0, v.Rows()}, Config{Pivot: "Make"}); err == nil {
+		t.Error("row past the view: want error")
+	}
+	if _, _, err := BuildBitmap(context.Background(), v, dataset.FullBitmap(v.Rows()+1), Config{Pivot: "Make"}); err == nil {
+		t.Error("bitmap over another universe: want error")
+	}
 	if _, _, err := Build(v, rows, Config{Pivot: "Make", Preference: func(*dataview.View, *IUnit) float64 { return -1 }}); err == nil {
 		t.Error("negative preference: want error")
 	}
@@ -311,28 +318,20 @@ func TestIUnitSimilarityProperties(t *testing.T) {
 
 func TestSimilarMakesHaveSimilarIUnits(t *testing.T) {
 	// Alpha and Beta are identical by construction; Gamma differs. The
-	// top Alpha IUnit should match some Beta IUnit at a threshold where
-	// Gamma has fewer or no matches.
+	// top Alpha IUnit should highlight some Beta IUnit at the view's tau.
 	view, _ := buildView(t, Config{Pivot: "Make", K: 3, Seed: 11})
-	alpha := view.Row("Alpha")
-	if alpha == nil || len(alpha.IUnits) == 0 {
-		t.Fatal("no Alpha IUnits")
-	}
-	sims, err := SimilarIUnits(view, alpha.IUnits[0], view.Tau)
+	h, err := HighlightSimilar(view, "Alpha", 1, view.Tau)
 	if err != nil {
 		t.Fatal(err)
 	}
 	foundBeta := false
-	for _, iu := range sims {
-		if iu.PivotValue == "Beta" {
+	for _, m := range h.Matches {
+		if m.Ref.PivotValue == "Beta" {
 			foundBeta = true
 		}
 	}
 	if !foundBeta {
 		t.Errorf("no Beta IUnit similar to Alpha's top IUnit at tau=%g", view.Tau)
-	}
-	if _, err := SimilarIUnits(view, nil, 1); err == nil {
-		t.Error("nil ref: want error")
 	}
 }
 

@@ -54,7 +54,7 @@ func scanBuild(ctx context.Context, v *dataview.View, rows dataset.RowSet, cfg C
 	}
 	var tm Timings
 	for vi, row := range view.Rows {
-		if err := buildPivotRow(ctx, v, view, row, rowsByValue[row.Value], cfg, int64(vi), &tm); err != nil {
+		if err := buildPivotRow(ctx, v, view, row, rowsByValue[row.Value].Bitmap(v.Rows()), cfg, int64(vi), &tm); err != nil {
 			return nil, err
 		}
 	}

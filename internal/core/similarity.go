@@ -25,31 +25,6 @@ func IUnitSimilarity(a, b *IUnit) (float64, error) {
 	return s, nil
 }
 
-// SimilarIUnits returns every IUnit in the view whose Algorithm-1
-// similarity to the reference IUnit meets or exceeds tau, excluding the
-// reference itself. This is the engine behind HIGHLIGHT SIMILAR IUNITS.
-func SimilarIUnits(v *CADView, ref *IUnit, tau float64) ([]*IUnit, error) {
-	if ref == nil {
-		return nil, fmt.Errorf("core: nil reference IUnit")
-	}
-	var out []*IUnit
-	for _, row := range v.Rows {
-		for _, iu := range row.IUnits {
-			if iu == ref {
-				continue
-			}
-			s, err := IUnitSimilarity(ref, iu)
-			if err != nil {
-				return nil, err
-			}
-			if s >= tau {
-				out = append(out, iu)
-			}
-		}
-	}
-	return out, nil
-}
-
 // AttributeValueDistance implements the paper's Algorithm 2
 // (Attribute-value Pair Similarity): the rank-displacement distance
 // between two pivot values' top-k IUnit lists. Two IUnits are "similar"

@@ -34,46 +34,6 @@ func NewZipf(rng *rand.Rand, s float64, card int) *Zipf {
 // Next draws one code.
 func (z *Zipf) Next() int { return int(z.z.Uint64()) }
 
-// Weighted samples indices 0..len(weights)-1 with probability
-// proportional to weights[i]. Zero-weight entries never occur; negative
-// weights panic.
-type Weighted struct {
-	cum   []float64
-	total float64
-	rng   *rand.Rand
-}
-
-// NewWeighted returns a seeded weighted sampler.
-func NewWeighted(rng *rand.Rand, weights []float64) *Weighted {
-	w := &Weighted{cum: make([]float64, len(weights)), rng: rng}
-	for i, x := range weights {
-		if x < 0 {
-			panic("datagen: negative weight")
-		}
-		w.total += x
-		w.cum[i] = w.total
-	}
-	if w.total <= 0 {
-		panic("datagen: weights sum to zero")
-	}
-	return w
-}
-
-// Next draws one index.
-func (w *Weighted) Next() int {
-	x := w.rng.Float64() * w.total
-	lo, hi := 0, len(w.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if w.cum[mid] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // ZipfColumn describes one skewed categorical column of a ZipfTable.
 type ZipfColumn struct {
 	Name string

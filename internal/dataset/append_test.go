@@ -191,9 +191,9 @@ func TestAppendBoundaryShapes(t *testing.T) {
 				t.Fatalf("AppendBatch: %v", err)
 			}
 			ix := inc.Index()
-			if ix.Rows() != sh.n1 || ix.Epoch() != inc.Epoch() {
+			if ix.Rows() != sh.n1 || ix.epoch != inc.Epoch() {
 				t.Fatalf("extended index covers (rows=%d, epoch=%d), table at (%d, %d)",
-					ix.Rows(), ix.Epoch(), sh.n1, inc.Epoch())
+					ix.Rows(), ix.epoch, sh.n1, inc.Epoch())
 			}
 
 			cold := boundaryAppendTable(t, rows[:sh.n1])
@@ -304,8 +304,8 @@ func TestAppendReusesSealedSegments(t *testing.T) {
 	}
 }
 
-// TestExtendPostings exercises the exported incremental posting helper
-// directly against a from-scratch build.
+// TestExtendPostings exercises the incremental posting helper directly
+// against a from-scratch build.
 func TestExtendPostings(t *testing.T) {
 	const card = 5
 	mkCodes := func(n int) [][]int32 {
@@ -324,9 +324,9 @@ func TestExtendPostings(t *testing.T) {
 	segs := mkCodes(n)
 	codesAt := func(s int) []int32 { return segCodes(segs, s, n) }
 
-	old := ExtendPostings(nil, 0, oldN, card, func(s int) []int32 { return segCodes(segs, s, oldN) })
-	got := ExtendPostings(old, oldN, n, card, codesAt)
-	want := ExtendPostings(nil, 0, n, card, codesAt)
+	old := extendPostings(nil, oldN, card, 0, func(s int) []int32 { return segCodes(segs, s, oldN) })
+	got := extendPostings(old, n, card, oldN>>SegmentBits, codesAt)
+	want := extendPostings(nil, n, card, 0, codesAt)
 	for code := range want {
 		if !reflect.DeepEqual(rowsOf(got[code]), rowsOf(want[code])) {
 			t.Fatalf("code %d: extended postings differ from scratch build", code)
@@ -334,14 +334,8 @@ func TestExtendPostings(t *testing.T) {
 	}
 	// Growing card (new dictionary entries in the tail) yields empty
 	// postings for unseen codes.
-	grown := ExtendPostings(old, oldN, n, card+2, codesAt)
+	grown := extendPostings(old, n, card+2, oldN>>SegmentBits, codesAt)
 	if len(grown) != card+2 || grown[card+1].Len() != 0 {
 		t.Fatalf("grown-card extend: %d postings, tail len %d", len(grown), grown[card+1].Len())
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ExtendPostings with oldN > n must panic")
-		}
-	}()
-	ExtendPostings(old, n, oldN, card, codesAt)
 }

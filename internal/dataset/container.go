@@ -300,23 +300,6 @@ func (c *container) add(v uint16) {
 	}
 }
 
-// minValue returns the smallest member; the container must be non-empty.
-func (c *container) minValue() int {
-	switch c.kind {
-	case arrayK:
-		return int(c.array[0])
-	case bitmapK:
-		for i, w := range c.words {
-			if w != 0 {
-				return i<<6 + bits.TrailingZeros64(w)
-			}
-		}
-		return -1
-	default:
-		return int(c.runs[0].start)
-	}
-}
-
 // forEach calls fn(base+v) for every member v in ascending order.
 func (c *container) forEach(base int, fn func(v int)) {
 	switch c.kind {

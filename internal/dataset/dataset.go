@@ -218,9 +218,6 @@ func (c *CatColumn) Code(i int) int32 {
 	return segs[i>>SegmentBits][i&SegmentMask]
 }
 
-// NumSegments returns the number of storage segments the column spans.
-func (c *CatColumn) NumSegments() int { return len(*c.segs.Load()) }
-
 // SegCodes returns segment s's code slice (segment-local row order);
 // callers must not modify it. Morsel scans hoist one segment at a time
 // instead of paying the two-level lookup per row.
@@ -229,22 +226,6 @@ func (c *CatColumn) SegCodes(s int) []int32 { return (*c.segs.Load())[s] }
 // segTable returns the published segment headers; callers hoist it once
 // per scan instead of paying an atomic load per segment.
 func (c *CatColumn) segTable() [][]int32 { return *c.segs.Load() }
-
-// Codes returns the per-row code array; callers must not modify it.
-// Single-segment columns (≤64K rows) return the backing slice directly;
-// larger columns materialize a contiguous copy, so hot paths over big
-// tables should iterate SegCodes per segment instead.
-func (c *CatColumn) Codes() []int32 {
-	segs := *c.segs.Load()
-	if len(segs) == 1 {
-		return segs[0]
-	}
-	out := make([]int32, 0, c.Len())
-	for _, seg := range segs {
-		out = append(out, seg...)
-	}
-	return out
-}
 
 // Value returns the string value at row i.
 func (c *CatColumn) Value(i int) string { return c.Dict()[c.Code(i)] }
@@ -272,8 +253,7 @@ type NumColumn struct {
 	segs atomic.Pointer[[][]float64] // published segment headers (append-only)
 	n    atomic.Int64                // published row count
 
-	mu     sync.Mutex // serializes appends; guards sorted
-	sorted []float64  // memoized ascending copy of the values; see Sorted
+	mu sync.Mutex // serializes appends
 }
 
 // NewNumColumn returns an empty numeric column.
@@ -306,9 +286,6 @@ func (c *NumColumn) Value(i int) float64 {
 	return segs[i>>SegmentBits][i&SegmentMask]
 }
 
-// NumSegments returns the number of storage segments the column spans.
-func (c *NumColumn) NumSegments() int { return len(*c.segs.Load()) }
-
 // SegValues returns segment s's value slice (segment-local row order);
 // callers must not modify it.
 func (c *NumColumn) SegValues(s int) []float64 { return (*c.segs.Load())[s] }
@@ -331,25 +308,6 @@ func (c *NumColumn) Values() []float64 {
 		out = append(out, seg...)
 	}
 	return out
-}
-
-// Sorted returns the column values in ascending order; callers must not
-// modify the result. The sorted copy is memoized so repeated binning of
-// the same column (every view built over the table) sorts at most once;
-// the cache is refreshed if rows were appended since the last call.
-func (c *NumColumn) Sorted() []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := int(c.n.Load())
-	if len(c.sorted) != n {
-		sorted := make([]float64, 0, n)
-		for _, seg := range *c.segs.Load() {
-			sorted = append(sorted, seg...)
-		}
-		sortFloats(sorted)
-		c.sorted = sorted
-	}
-	return c.sorted
 }
 
 // Table is a named relation with columnar storage. Appends are safe to

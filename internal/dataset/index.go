@@ -114,10 +114,6 @@ func newIndex(t *Table, n int, epoch uint64) *Index {
 // Rows returns the universe size (table rows) this index covers.
 func (ix *Index) Rows() int { return ix.n }
 
-// Epoch returns the table append epoch this index snapshot was derived
-// at. Caches compare it against Table.Epoch to detect staleness.
-func (ix *Index) Epoch() uint64 { return ix.epoch }
-
 // segCodes returns the codes of segment s truncated to the index's row
 // snapshot (rows appended after the index was created stay invisible).
 func segCodes(segs [][]int32, s, n int) []int32 {
@@ -734,20 +730,6 @@ func extendPostings(old []*Bitmap, n, card, sealed int, codesFn func(s int) []in
 		out[code] = &bms[code]
 	}
 	return out
-}
-
-// ExtendPostings derives frozen posting bitmaps over n rows from
-// postings previously built over oldN rows of the same code stream
-// (oldN <= n): containers over sealed segments are shared verbatim and
-// only segments touched by rows [oldN, n) re-scatter. codesFn follows
-// the BuildPostings contract over the new universe. dataview uses this
-// to extend numeric bin postings across appends without recoding sealed
-// segments.
-func ExtendPostings(old []*Bitmap, oldN, n, card int, codesFn func(s int) []int32) []*Bitmap {
-	if oldN > n {
-		panic("dataset: ExtendPostings row count went backward")
-	}
-	return extendPostings(old, n, card, oldN>>SegmentBits, codesFn)
 }
 
 // extendFreqs extends per-code frequencies by counting only the delta

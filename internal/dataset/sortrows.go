@@ -5,92 +5,6 @@ import (
 	"sort"
 )
 
-// sortRowsByValue sorts rows ascending by vals[row], equal values by row
-// ascending, using a stable LSD radix sort over the order-preserving bit
-// pattern of the keys. rows must already be in ascending row order (the
-// stability of the passes then yields the row tie-break for free) and
-// must not reference NaN cells. This replaces a closure-based
-// sort.Slice whose double indirection dominated first-query latency on
-// large tables.
-func sortRowsByValue(rows []int32, vals []float64) {
-	n := len(rows)
-	if n < 128 {
-		// Insertion sort: cheaper than building key arrays, and stable.
-		for i := 1; i < n; i++ {
-			r := rows[i]
-			v := vals[r]
-			j := i - 1
-			for j >= 0 && vals[rows[j]] > v {
-				rows[j+1] = rows[j]
-				j--
-			}
-			rows[j+1] = r
-		}
-		return
-	}
-	if rows[n-1] < chunkSize {
-		sortOffsetsByValue(rows, vals)
-		return
-	}
-	keys := make([]uint64, n)
-	for i, row := range rows {
-		keys[i] = orderedFloatBits(vals[row])
-	}
-	tmpK := make([]uint64, n)
-	tmpR := make([]int32, n)
-	src, dst := rows, tmpR
-	srcK, dstK := keys, tmpK
-	var count [256]int
-	for shift := uint(0); shift < 64; shift += 8 {
-		for i := range count {
-			count[i] = 0
-		}
-		for _, k := range srcK {
-			count[byte(k>>shift)]++
-		}
-		if count[byte(srcK[0]>>shift)] == n {
-			continue // every key shares this byte; the pass is a no-op
-		}
-		pos := 0
-		for i, c := range count {
-			count[i] = pos
-			pos += c
-		}
-		for i, k := range srcK {
-			b := byte(k >> shift)
-			d := count[b]
-			count[b]++
-			dstK[d] = k
-			dst[d] = src[i]
-		}
-		src, dst = dst, src
-		srcK, dstK = dstK, srcK
-	}
-	if &src[0] != &rows[0] {
-		copy(rows, src)
-	}
-}
-
-// sortOffsetsByValue is the segment-local fast path of sortRowsByValue:
-// every row fits in 16 bits, so the offset replaces the low two key
-// bytes and the radix sort moves one uint64 per element instead of a
-// 12-byte key+row pair. Stability makes the two offset-byte passes
-// no-ops (the input is already in ascending offset order), leaving six
-// passes over the high value bytes. Truncating the value key to 48 bits
-// can merge neighboring values into one tie group, so a fix-up pass
-// re-sorts any group whose full values actually differ — for integral
-// and low-precision data the low mantissa bytes are zero and the group
-// is a true tie already in offset order.
-func sortOffsetsByValue(rows []int32, vals []float64) {
-	keys := make([]uint64, len(rows))
-	for i, row := range rows {
-		keys[i] = orderedFloatBits(vals[row])&^0xFFFF | uint64(row)
-	}
-	for i, k := range sortSegKeys(keys, vals) {
-		rows[i] = int32(k & 0xFFFF)
-	}
-}
-
 // sortSegKeys sorts composite segment keys — the high 48 bits of a
 // row's orderedFloatBits with the row's 16-bit offset in the low bytes —
 // and returns the sorted slice (which may be keys itself or scratch).
@@ -228,69 +142,5 @@ func sortUint16s(a []uint16) {
 	}
 	if &src[0] != &a[0] {
 		copy(a, src)
-	}
-}
-
-// sortFloats sorts s ascending with NaNs first — sort.Float64s' order —
-// by LSD radix passes over the order-preserving (and here invertible,
-// so -0 survives) bit transform. Numeric binning sorts each column once
-// per table; on wide tables that sort dominated first-view latency.
-func sortFloats(s []float64) {
-	nan := 0
-	for i, v := range s {
-		if math.IsNaN(v) {
-			s[i] = s[nan]
-			s[nan] = v
-			nan++
-		}
-	}
-	rest := s[nan:]
-	n := len(rest)
-	if n < 256 {
-		sort.Float64s(rest)
-		return
-	}
-	keys := make([]uint64, n)
-	for i, v := range rest {
-		b := math.Float64bits(v)
-		if b&(1<<63) != 0 {
-			b = ^b
-		} else {
-			b |= 1 << 63
-		}
-		keys[i] = b
-	}
-	tmp := make([]uint64, n)
-	src, dst := keys, tmp
-	var count [256]int
-	for shift := uint(0); shift < 64; shift += 8 {
-		for i := range count {
-			count[i] = 0
-		}
-		for _, k := range src {
-			count[byte(k>>shift)]++
-		}
-		if count[byte(src[0]>>shift)] == n {
-			continue
-		}
-		pos := 0
-		for i, c := range count {
-			count[i] = pos
-			pos += c
-		}
-		for _, k := range src {
-			b := byte(k >> shift)
-			dst[count[b]] = k
-			count[b]++
-		}
-		src, dst = dst, src
-	}
-	for i, k := range src {
-		if k&(1<<63) != 0 {
-			k ^= 1 << 63
-		} else {
-			k = ^k
-		}
-		rest[i] = math.Float64frombits(k)
 	}
 }

@@ -8,10 +8,11 @@ import (
 	"testing"
 )
 
-// TestSortRowsByValueMatchesComparator pins the radix sort to the
-// comparator it replaced: value ascending, ties by row ascending — over
-// duplicates, negatives, infinities, and the -0/+0 equality trap, on
-// both sides of the small-slice cutoff.
+// TestSortRowsByValueMatchesComparator pins the segment-key radix sort
+// (sortSegKeys over the keys the index builds) to the comparator it
+// replaced: value ascending, ties by row ascending — over duplicates,
+// negatives, infinities, and the -0/+0 equality trap, on both sides of
+// the small-slice cutoff.
 func TestSortRowsByValueMatchesComparator(t *testing.T) {
 	pool := []float64{
 		0, math.Copysign(0, -1), 1, -1, 2.5, -2.5, 1e300, -1e300,
@@ -28,10 +29,10 @@ func TestSortRowsByValueMatchesComparator(t *testing.T) {
 				vals[i] = math.Round(rng.NormFloat64()*100) / 4
 			}
 		}
-		got := make([]int32, n)
+		keys := make([]uint64, n)
 		want := make([]int32, n)
-		for i := range got {
-			got[i] = int32(i)
+		for i := range keys {
+			keys[i] = orderedFloatBits(vals[i])&^0xFFFF | uint64(i)
 			want[i] = int32(i)
 		}
 		sort.Slice(want, func(i, j int) bool {
@@ -41,38 +42,13 @@ func TestSortRowsByValueMatchesComparator(t *testing.T) {
 			}
 			return want[i] < want[j]
 		})
-		sortRowsByValue(got, vals)
+		got := make([]int32, n)
+		for i, k := range sortSegKeys(keys, vals) {
+			got[i] = int32(uint16(k))
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (n=%d): radix order diverges from comparator\n got %v\nwant %v", trial, n, got, want)
 		}
 	}
-	sortRowsByValue(nil, nil) // empty input must not panic
-}
-
-// TestSortFloatsMatchesSortFloat64s checks the value sort against the
-// stdlib: ascending with NaNs first, across the radix cutoff.
-func TestSortFloatsMatchesSortFloat64s(t *testing.T) {
-	for trial := 0; trial < 40; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial) + 99))
-		n := rng.Intn(700)
-		got := make([]float64, n)
-		for i := range got {
-			switch rng.Intn(10) {
-			case 0:
-				got[i] = math.NaN()
-			case 1:
-				got[i] = math.Inf(1 - 2*rng.Intn(2))
-			default:
-				got[i] = math.Round(rng.NormFloat64() * 50)
-			}
-		}
-		want := append([]float64(nil), got...)
-		sort.Float64s(want)
-		sortFloats(got)
-		for i := range want {
-			if want[i] != got[i] && !(math.IsNaN(want[i]) && math.IsNaN(got[i])) {
-				t.Fatalf("trial %d: position %d: got %v, want %v", trial, i, got[i], want[i])
-			}
-		}
-	}
+	sortSegKeys(nil, nil) // empty input must not panic
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"dbexplorer/internal/core"
 	"dbexplorer/internal/dataset"
 	"dbexplorer/internal/dataview"
+	"dbexplorer/internal/facet"
 	"dbexplorer/internal/featsel"
 )
 
@@ -53,8 +55,9 @@ func viewPivotCounts(view *core.CADView) []string {
 // categorical and numeric pivots, the default build — Compare Attributes
 // ranked from posting-bitmap contingency tables — must produce a CAD
 // View byte-identical to the build that ranks with the row-set
-// chi-square ranker (its contingency tables come from a row scan), and
-// its pivot rows must carry the values and counts of a plain row loop.
+// chi-square ranker (its contingency tables come from a row scan) and
+// equal to BuildBitmap over a facet session on the same rows, and its
+// pivot rows must carry the values and counts of a plain row loop.
 func TestCorpusCADViewBitmapMatchesScan(t *testing.T) {
 	tbl := carsTable(t, 400, 1)
 	s := NewSession()
@@ -90,6 +93,13 @@ func TestCorpusCADViewBitmapMatchesScan(t *testing.T) {
 			}
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("%s pivot %s: CAD View structure diverged from the row-set ranker build", q, pivot)
+			}
+			fromSession, _, err := core.BuildBitmap(context.Background(), v, facet.NewSession(v, r.Rows).Bitmap(), cfg)
+			if err != nil {
+				t.Fatalf("%s pivot %s: BuildBitmap over a facet session: %v", q, pivot, err)
+			}
+			if !reflect.DeepEqual(fromSession, got) {
+				t.Errorf("%s pivot %s: BuildBitmap over a facet session diverged from BuildContext", q, pivot)
 			}
 			pivotCol, err := v.Column(pivot)
 			if err != nil {

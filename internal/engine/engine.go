@@ -263,7 +263,8 @@ func (s *Session) ExecStmtContext(ctx context.Context, stmt cadql.Stmt) (*Result
 // resolveFrom materializes a FROM list: a registered table as-is, or
 // the left-to-right natural join of several registered tables (the
 // paper's "FROM table1, table2..." grammar) with a freshly built
-// discretized view.
+// discretized view, shared through dataview.Shared like a registered
+// table's.
 func (s *Session) resolveFrom(tables []string) (*tableEntry, error) {
 	if len(tables) == 0 {
 		return nil, fmt.Errorf("engine: empty FROM clause")
@@ -290,11 +291,32 @@ func (s *Session) resolveFrom(tables []string) (*tableEntry, error) {
 	if joined.NumRows() == 0 {
 		return nil, fmt.Errorf("engine: join of %s produced no rows", strings.Join(tables, ", "))
 	}
-	v, err := dataview.New(joined, dataview.Options{})
+	v, err := dataview.Shared(joined, dataview.Options{})
 	if err != nil {
 		return nil, err
 	}
 	return &tableEntry{table: joined, view: v}, nil
+}
+
+// where evaluates a WHERE clause over e's table and returns the result
+// rows as a bitmap over a view of the table's current rows. The clause
+// runs on the live table, which may have grown since e's view was built,
+// so the view comes again from dataview.Shared — which rebuilds it only
+// after the row count has changed — and the bitmap is clipped to it.
+func (e *tableEntry) where(clause expr.Expr) (*dataview.View, *expr.Compiled, *dataset.Bitmap, error) {
+	comp, err := expr.Compile(e.table, clause)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	bm, err := comp.Bitmap()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	v, err := dataview.Shared(e.table, dataview.Options{})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return v, comp, bm.Resize(v.Rows()), nil
 }
 
 func (s *Session) execSelect(st *cadql.SelectStmt) (*Result, error) {
@@ -443,18 +465,14 @@ func (s *Session) execExplain(ctx context.Context, st *cadql.ExplainStmt) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	comp, err := expr.Compile(e.table, c.Where)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := comp.SelectAll()
+	v, comp, rows, err := e.where(c.Where)
 	if err != nil {
 		return nil, err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "EXPLAIN CADVIEW %s on %s\n", c.Name, e.table.Name())
 	fmt.Fprintf(&b, "where: vectorized (posting bitmaps), selectivity %.4f\n",
-		float64(len(rows))/float64(e.table.NumRows()))
+		float64(rows.Len())/float64(v.Rows()))
 	if c.Where != nil {
 		// The cost-chosen evaluation order with per-leaf cardinality
 		// estimates: And children print cheapest-first, exactly as the
@@ -463,24 +481,24 @@ func (s *Session) execExplain(ctx context.Context, st *cadql.ExplainStmt) (*Resu
 			fmt.Fprintf(&b, "  %s\n", line)
 		}
 	}
-	fmt.Fprintf(&b, "result set: %d of %d tuples\n", len(rows), e.table.NumRows())
-	if len(rows) == 0 {
+	fmt.Fprintf(&b, "result set: %d of %d tuples\n", rows.Len(), v.Rows())
+	if rows.Len() == 0 {
 		return &Result{Kind: KindMessage, Message: b.String()}, nil
 	}
 
-	// Pivot value distribution.
-	pivotCol, err := e.view.Column(c.Pivot)
+	// Pivot value distribution: the values whose posting set meets the
+	// result (NaN pivot cells belong to no posting).
+	pivotCol, err := v.Column(c.Pivot)
 	if err != nil {
 		return nil, err
 	}
-	counts := make(map[string]int)
-	for _, r := range rows {
-		// NaN pivot cells code -1 and belong to no pivot value.
-		if c := pivotCol.Code(r); c >= 0 {
-			counts[pivotCol.Label(c)]++
+	values := make(map[string]bool)
+	for code, p := range pivotCol.Postings() {
+		if p.AndLen(rows) > 0 {
+			values[pivotCol.Label(code)] = true
 		}
 	}
-	fmt.Fprintf(&b, "pivot %s: %d values in result\n", c.Pivot, len(counts))
+	fmt.Fprintf(&b, "pivot %s: %d values in result\n", c.Pivot, len(values))
 
 	// Full candidate ranking, as the builder would see it.
 	var candidates []string
@@ -488,13 +506,13 @@ func (s *Session) execExplain(ctx context.Context, st *cadql.ExplainStmt) (*Resu
 	for _, a := range c.Compare {
 		explicit[a] = true
 	}
-	for _, col := range e.view.Columns() {
+	for _, col := range v.Columns() {
 		if !explicit[col.Attr] {
 			candidates = append(candidates, col.Attr)
 		}
 	}
 	if len(candidates) > 0 {
-		scores, err := featsel.ChiSquare(e.view, rows, c.Pivot, candidates)
+		scores, err := featsel.ChiSquareBitmapContext(ctx, v, rows, c.Pivot, candidates)
 		if err != nil {
 			return nil, err
 		}
@@ -508,7 +526,7 @@ func (s *Session) execExplain(ctx context.Context, st *cadql.ExplainStmt) (*Resu
 	}
 
 	// Dry-run build for the chosen set and timings.
-	view, tm, err := core.BuildContext(ctx, e.view, rows, core.Config{
+	view, tm, err := core.BuildBitmap(ctx, v, rows, core.Config{
 		Pivot:        c.Pivot,
 		CompareAttrs: c.Compare,
 		MaxCompare:   c.MaxCompare,
@@ -552,11 +570,7 @@ func (s *Session) execCreateCADView(ctx context.Context, st *cadql.CreateCADView
 	if _, ok := s.views[key]; ok {
 		return nil, fmt.Errorf("engine: CADVIEW %q already exists", st.Name)
 	}
-	comp, err := expr.Compile(e.table, st.Where)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := comp.SelectAll()
+	v, _, rows, err := e.where(st.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -581,7 +595,7 @@ func (s *Session) execCreateCADView(ctx context.Context, st *cadql.CreateCADView
 			cfg.Preference = core.ByMeanAscending(key.Attr)
 		}
 	}
-	view, _, err := core.BuildContext(ctx, e.view, rows, cfg)
+	view, _, err := core.BuildBitmap(ctx, v, rows, cfg)
 	if err != nil {
 		return nil, err
 	}

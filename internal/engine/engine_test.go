@@ -489,3 +489,41 @@ func TestExecDeterministicViews(t *testing.T) {
 		t.Error("same seed and data produced different views")
 	}
 }
+
+// TestCreateCADViewAfterAppend: the WHERE clause runs on the live table,
+// so after an append CREATE CADVIEW and EXPLAIN must build over a view of
+// the grown table, not over the view made at registration.
+func TestCreateCADViewAfterAppend(t *testing.T) {
+	tbl := carsTable(t, 400, 1)
+	s := NewSession()
+	if err := s.Register(tbl); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.AppendBatch([][]any{
+		{"Jeep", "SUV", "V8", 34000.0, 12000.0},
+		{"Ford", "SUV", "V6", 26000.0, 30000.0},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	suvs := 0
+	for r := 0; r < tbl.NumRows(); r++ {
+		if tbl.CellString(r, 1) == "SUV" {
+			suvs++
+		}
+	}
+	q := "CREATE CADVIEW grown AS SET pivot = Make SELECT Price FROM UsedCars WHERE BodyType = SUV"
+	r, err := s.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, row := range r.View.Rows {
+		total += row.Count
+	}
+	if total != suvs {
+		t.Errorf("CAD View covers %d rows, the grown table has %d SUVs", total, suvs)
+	}
+	if _, err := s.Exec("EXPLAIN " + strings.Replace(q, "grown", "plan", 1)); err != nil {
+		t.Fatal(err)
+	}
+}

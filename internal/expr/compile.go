@@ -158,9 +158,8 @@ func (c *Compiled) Select(rows dataset.RowSet) (dataset.RowSet, error) {
 	if rows.IsAllRows(bm.Universe()) {
 		return bm.ToRowSet(), nil
 	}
-	// Genuine subsets filter segment-hoisted: one container dispatch per
-	// run of rows in a segment, not one two-level lookup per row.
-	return bm.FilterRowSet(rows), nil
+	// Genuine subsets keep their input order; out-of-universe rows drop.
+	return rows.Filter(bm.Contains), nil
 }
 
 // SelectAll returns the full-table rows satisfying the predicate —

@@ -201,6 +201,21 @@ func TestSessionBaseRestriction(t *testing.T) {
 	}
 }
 
+// TestSessionBaseIsASet: an unsorted base with a duplicate reads as its
+// sorted unique set through Count, Page, Rows and the digest alike.
+func TestSessionBaseIsASet(t *testing.T) {
+	v, _ := testView(t)
+	s := NewSession(v, dataset.RowSet{3, 1, 1, 2})
+	want := []int{1, 2, 3}
+	page, total := s.Page(0, -1)
+	if s.Count() != 3 || total != 3 || !reflect.DeepEqual([]int(page), want) || !reflect.DeepEqual([]int(s.Rows()), want) {
+		t.Errorf("Count %d, Page %v of %d, Rows %v; want 3, %v of 3, %v", s.Count(), page, total, s.Rows(), want, want)
+	}
+	if n := s.Digest().Count("Make", "Ford") + s.Digest().Count("Make", "Jeep"); n != 3 {
+		t.Errorf("digest counts %d rows, want 3", n)
+	}
+}
+
 func TestPanelDigest(t *testing.T) {
 	v, rows := testView(t)
 	s := NewSession(v, rows)

@@ -13,9 +13,10 @@ import (
 // row scanning — no bitmaps, no caches — using the session's own
 // selections. It is the oracle the incremental path must match.
 func referenceRows(s *Session) dataset.RowSet {
-	out := make(dataset.RowSet, 0, len(s.base))
+	base := s.baseBM.ToRowSet()
+	out := make(dataset.RowSet, 0, len(base))
 rows:
-	for _, r := range s.base {
+	for _, r := range base {
 		for _, sel := range s.Selections() {
 			col, _ := s.view.Column(sel.Attr)
 			hit := false

@@ -7,38 +7,26 @@ import (
 	"dbexplorer/internal/parallel"
 )
 
-// BuildCoded constructs the histogram of values without requiring a
-// sorted copy, and additionally returns every value's bucket code —
-// codes[i] == h.Bin(values[i]) — computed in the same pass that tallies
-// h.Counts. The histogram is identical to Build(values, bins, method):
-// equi-width consults only the min and max, and equi-depth only bins-1
-// order statistics — the value at a given rank is a property of the
-// multiset, so a three-way quickselect finds the same cut values in
-// O(n) that a full O(n log n) sort would. V-optimal (and any input
-// containing NaN, whose sort-first ordering shifts every rank) falls
-// back to the sorted construction and only adds the coding pass.
-// values is not modified.
+// BuildCodedSegs constructs the histogram of a segmented column without
+// requiring a sorted copy, and additionally returns every value's bucket
+// code — codes[s][i] == h.Bin(segs[s][i]) — computed in the same pass
+// that tallies h.Counts. segs are the per-segment value slices of one
+// column (any lengths; dataset columns hand over their 64K storage
+// segments), and the codes mirror that shape. The histogram is identical
+// to Build over the concatenated values: equi-width consults only the
+// min and max, and equi-depth only bins-1 order statistics — the value
+// at a given rank is a property of the multiset, so a three-way
+// quickselect finds the same cut values in O(n) that a full O(n log n)
+// sort would. V-optimal (and any input containing NaN, whose sort-first
+// ordering shifts every rank) falls back to the sorted construction and
+// only adds the coding pass. segs are not modified.
 //
 // Columns binned once and then scanned repeatedly (the CAD View build
 // materializes per-row codes for every candidate attribute) get both the
 // histogram and the code array out of a single construction instead of a
-// column sort at view-build time plus a bin search per row later.
-func BuildCoded(values []float64, bins int, method Method) (*Histogram, []int32, error) {
-	h, segCodes, err := BuildCodedSegs([][]float64{values}, bins, method)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, segCodes[0], nil
-}
-
-// BuildCodedSegs is BuildCoded over segmented column storage: segs are
-// the per-segment value slices of one column (any lengths; dataset
-// columns hand over their 64K storage segments), and the returned codes
-// mirror that shape — codes[s][i] is the bucket of segs[s][i]. The
-// histogram itself is computed over the concatenation and is identical
-// to BuildCoded of the flattened values; the coding pass then runs one
-// morsel per segment on the shared worker pool, since each segment's
-// codes and counts are independent given the edges.
+// column sort at view-build time plus a bin search per row later. The
+// coding pass runs one morsel per segment on the shared worker pool,
+// since each segment's codes and counts are independent given the edges.
 func BuildCodedSegs(segs [][]float64, bins int, method Method) (*Histogram, [][]int32, error) {
 	if bins < 1 {
 		return nil, nil, fmt.Errorf("histogram: bins must be >= 1, got %d", bins)

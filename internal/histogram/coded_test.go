@@ -69,10 +69,11 @@ func TestBuildCodedMatchesBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v trial %d: reference build: %v", method, trial, err)
 			}
-			got, codes, err := BuildCoded(vals, bins, method)
+			got, segCodes, err := BuildCodedSegs([][]float64{vals}, bins, method)
 			if err != nil {
 				t.Fatalf("%v trial %d: coded build: %v", method, trial, err)
 			}
+			codes := segCodes[0]
 			if !floatsEqualNaN(got.Edges, want.Edges) {
 				t.Fatalf("%v trial %d (bins=%d): edges = %v, want %v", method, trial, bins, got.Edges, want.Edges)
 			}

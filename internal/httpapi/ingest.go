@@ -37,8 +37,7 @@ import (
 // does, queries and cached CAD Views answer from the previous snapshot
 // flagged with a "stale" row count (see DESIGN.md §15).
 func (s *Server) handleIngest(ctx context.Context, ds *datasetEntry, w http.ResponseWriter, r *http.Request) *apiError {
-	v, _ := ds.snapshot()
-	schema := v.Table().Schema()
+	schema := ds.snapshot().Table().Schema()
 	rows, apiErr := s.decodeIngest(schema, r)
 	if apiErr != nil {
 		return apiErr
@@ -53,7 +52,7 @@ func (s *Server) handleIngest(ctx context.Context, ds *datasetEntry, w http.Resp
 	ds.ingestMu.Lock()
 	// Re-snapshot under the ingest lock: the digest cache below must be
 	// extended against the view whose rows precede this batch.
-	v, _ = ds.snapshot()
+	v := ds.snapshot()
 	t := v.Table()
 	if err := t.AppendBatch(rows); err != nil {
 		ds.ingestMu.Unlock()
@@ -88,7 +87,7 @@ func (e *datasetEntry) extendBaseDigest(v *dataview.View, newRows int) *facet.Di
 	e.digMu.Lock()
 	defer e.digMu.Unlock()
 	if e.digView != v {
-		e.baseDig = facet.NewSession(v, dataset.AllRows(v.Rows())).Digest()
+		e.baseDig = facet.NewSessionBitmap(v, dataset.FullBitmap(v.Rows())).Digest()
 		e.digView, e.digRows = v, v.Rows()
 	}
 	e.baseDig = facet.ExtendDigest(v, e.baseDig, e.digRows, newRows)
@@ -249,11 +248,11 @@ func (s *Server) refreshEntry(e *datasetEntry) {
 			// An append that landed after the rebuild read its snapshot
 			// would otherwise be stranded until the next ingest; retrigger
 			// only after a clean pass so a persistent failure cannot spin.
-			if cur, _ := e.snapshot(); ok && cur.Rows() != cur.Table().NumRows() {
+			if cur := e.snapshot(); ok && cur.Rows() != cur.Table().NumRows() {
 				s.refreshEntry(e)
 			}
 		}()
-		old, _ := e.snapshot()
+		old := e.snapshot()
 		t := old.Table()
 		if old.Rows() == t.NumRows() {
 			ok = true
@@ -264,10 +263,7 @@ func (s *Server) refreshEntry(e *datasetEntry) {
 			s.reg.Counter("view_refresh_failures_total").Inc()
 			return
 		}
-		e.viewMu.Lock()
-		e.view = nv
-		e.base = dataset.AllRows(nv.Rows())
-		e.viewMu.Unlock()
+		e.view.Store(nv)
 		e.digMu.Lock()
 		e.baseDig, e.digView, e.digRows = nil, nil, 0
 		e.digMu.Unlock()
@@ -282,7 +278,7 @@ func (s *Server) refreshEntry(e *datasetEntry) {
 // and never blocks on a saturated admission gate — the next stale hit
 // retries.
 func (s *Server) refreshCAD(ds *datasetEntry, key viewcache.Key, req *cadRequest) {
-	if v, _ := ds.snapshot(); v.Rows() != v.Table().NumRows() {
+	if v := ds.snapshot(); v.Rows() != v.Table().NumRows() {
 		s.refreshEntry(ds)
 		return
 	}

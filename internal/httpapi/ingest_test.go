@@ -66,12 +66,12 @@ func waitViewRows(t *testing.T, e *datasetEntry, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if v, _ := e.snapshot(); v.Rows() == want {
+		if v := e.snapshot(); v.Rows() == want {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	v, _ := e.snapshot()
+	v := e.snapshot()
 	t.Fatalf("serving view stuck at %d rows, want %d", v.Rows(), want)
 }
 
@@ -97,7 +97,7 @@ func TestIngestJSON(t *testing.T) {
 	if out["digest"] == nil || string(out["digest"]) == "null" {
 		t.Fatal("ingest response carries no delta digest")
 	}
-	v, _ := e.snapshot()
+	v := e.snapshot()
 	if got := v.Table().NumRows(); got != 63 {
 		t.Fatalf("table at %d rows, want 63", got)
 	}
@@ -138,7 +138,7 @@ func TestIngestCSV(t *testing.T) {
 	if out.Appended != 2 || out.Rows != 32 {
 		t.Fatalf("appended=%d rows=%d, want 2/32", out.Appended, out.Rows)
 	}
-	v, _ := e.snapshot()
+	v := e.snapshot()
 	tbl := v.Table()
 	if tbl.Cat(0).Value(30) != "cat" || tbl.Cat(1).Value(31) != "NY" {
 		t.Fatal("csv cells landed in the wrong columns")
@@ -165,7 +165,7 @@ func TestIngestCSV(t *testing.T) {
 
 func TestIngestValidation(t *testing.T) {
 	_, e, srv := newIngestServer(t, 30, WithMaxIngestBatch(2))
-	v, _ := e.snapshot()
+	v := e.snapshot()
 	epoch := v.Table().Epoch()
 
 	cases := []struct {
@@ -286,7 +286,7 @@ func TestIngestInvalidatesSuggester(t *testing.T) {
 	if got := s.reg.Counter("suggest_model_builds_total").Value(); got != 1 {
 		t.Fatalf("model builds = %d, want 1", got)
 	}
-	v, _ := e.snapshot()
+	v := e.snapshot()
 	m, err := suggest.BuildModel(context.Background(), v)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +327,7 @@ func TestIngestFaultPoint(t *testing.T) {
 	if res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("faulted ingest status %d: %v", res.StatusCode, out)
 	}
-	v, _ := e.snapshot()
+	v := e.snapshot()
 	if got := v.Table().NumRows(); got != 30 {
 		t.Fatalf("faulted ingest appended rows: %d", got)
 	}
@@ -412,14 +412,14 @@ func TestIngestSuggestReadsServingSnapshot(t *testing.T) {
 	}
 	suggest(map[string]any{"filters": []Filter{}}) // mine the model on the current view
 
-	v, _ := e.snapshot()
+	v := e.snapshot()
 	tbl := v.Table()
 	for i := 0; i < 40; i++ {
 		tbl.MustAppendRow("fish", "SF", math.NaN())
 		tbl.MustAppendRow("cat", "LA", float64(i%15))
 	}
 	tbl.Index()
-	if cur, _ := e.snapshot(); cur != v {
+	if cur := e.snapshot(); cur != v {
 		t.Fatal("serving view refreshed without an ingest")
 	}
 

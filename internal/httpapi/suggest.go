@@ -31,7 +31,7 @@ type suggestRequest struct {
 // cached suggester here, so a mined model never outlives the rows (or
 // discretization) it was built from.
 func (s *Server) suggesterFor(ctx context.Context, e *datasetEntry) (*suggest.Suggester, *apiError) {
-	v, _ := e.snapshot()
+	v := e.snapshot()
 	e.sugMu.Lock()
 	defer e.sugMu.Unlock()
 	if e.sug != nil && e.sugView == v {

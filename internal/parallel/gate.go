@@ -45,9 +45,6 @@ func (g *Gate) SetQueueDepth(d int) {
 	g.maxQueue.Store(int64(d))
 }
 
-// QueueDepth returns the configured wait-queue bound (0 = unbounded).
-func (g *Gate) QueueDepth() int { return int(g.maxQueue.Load()) }
-
 // Waiting returns how many callers are currently blocked in Acquire.
 func (g *Gate) Waiting() int { return int(g.waiters.Load()) }
 

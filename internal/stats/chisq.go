@@ -24,17 +24,6 @@ func NewContingencyTable(rows, cols int) *ContingencyTable {
 // Add increments cell (i, j).
 func (ct *ContingencyTable) Add(i, j int) { ct.Counts[i][j]++ }
 
-// Total returns the grand total of all cells.
-func (ct *ContingencyTable) Total() int {
-	n := 0
-	for _, row := range ct.Counts {
-		for _, c := range row {
-			n += c
-		}
-	}
-	return n
-}
-
 // ChiSquareResult holds a chi-square test of independence.
 type ChiSquareResult struct {
 	Stat    float64 // the X² statistic

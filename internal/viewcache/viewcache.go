@@ -4,9 +4,10 @@
 // the same queries (the paper's §5/§6.1 workload), so identical CAD View
 // requests hit the cache instead of rebuilding.
 //
-// Keys are strings of the form "<scope>\x00<fingerprint>"; InvalidateScope
-// drops every entry of one scope, which is how dataset re-registration
-// evicts that dataset's views without touching the others.
+// Keys are strings of the form "<scope>\x00<fingerprint>"; MarkStaleScope
+// flags every entry of one scope stale, which is how dataset
+// re-registration retires that dataset's views without touching the
+// others.
 package viewcache
 
 import (
@@ -129,26 +130,6 @@ func (c *Cache[V]) Put(k Key, v V) {
 	}
 }
 
-// InvalidateScope removes every entry whose key was built with NewKey on
-// the given scope, returning how many were dropped.
-func (c *Cache[V]) InvalidateScope(scope string) int {
-	prefix := Key(scope + scopeSep)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dropped := 0
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*entry[V])
-		if len(e.key) >= len(prefix) && e.key[:len(prefix)] == prefix {
-			c.ll.Remove(el)
-			delete(c.m, e.key)
-			dropped++
-		}
-		el = next
-	}
-	return dropped
-}
-
 // MarkStaleScope flags every entry of the scope as stale instead of
 // dropping it, returning how many were flagged (already-stale entries
 // count too). Stale entries miss Get but stay available via GetStale
@@ -167,12 +148,4 @@ func (c *Cache[V]) MarkStaleScope(scope string) int {
 		}
 	}
 	return marked
-}
-
-// Clear empties the cache.
-func (c *Cache[V]) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.m)
 }

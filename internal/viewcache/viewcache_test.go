@@ -79,32 +79,17 @@ func TestInvalidateScope(t *testing.T) {
 	// A dataset named like a prefix of another must not be swept along.
 	c.Put(NewKey("car", "f0"), 7)
 
-	if n := c.InvalidateScope("cars"); n != 3 {
-		t.Errorf("dropped %d entries, want 3", n)
+	if n := c.MarkStaleScope("cars"); n != 3 {
+		t.Errorf("marked %d entries, want 3", n)
 	}
 	if _, ok := c.Get(NewKey("cars", "f1")); ok {
-		t.Error("invalidated entry still cached")
+		t.Error("invalidated entry still served fresh")
 	}
 	if v, ok := c.Get(NewKey("hotels", "f0")); !ok || v != 99 {
 		t.Error("other scope was invalidated")
 	}
 	if v, ok := c.Get(NewKey("car", "f0")); !ok || v != 7 {
 		t.Error("prefix-named scope was invalidated")
-	}
-	if n := c.InvalidateScope("cars"); n != 0 {
-		t.Errorf("second invalidation dropped %d", n)
-	}
-}
-
-func TestClear(t *testing.T) {
-	c := New[int](4)
-	c.Put(NewKey("s", "a"), 1)
-	c.Clear()
-	if c.Len() != 0 {
-		t.Errorf("len after clear = %d", c.Len())
-	}
-	if _, ok := c.Get(NewKey("s", "a")); ok {
-		t.Error("cleared entry still retrievable")
 	}
 }
 

@@ -8,6 +8,7 @@
 package dbexplorer_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -68,15 +69,23 @@ func interpretRows(t *dataset.Table, rows dataset.RowSet, e expr.Expr) (dataset.
 // with the default ranker, which ranks Compare Attributes from
 // posting-bitmap contingency tables, and with the row-set chi-square
 // ranker, whose tables come from a row scan — and requires the two to be
-// structurally equal and render identically. The pivot rows must carry
-// the values and counts of a plain row loop (count descending, value
-// ascending). It returns the default build.
+// structurally equal and render identically. BuildBitmap over a facet
+// session on the same rows must give the same CAD View. The pivot rows
+// must carry the values and counts of a plain row loop (count
+// descending, value ascending). It returns the default build.
 func checkBoundaryCADView(t *testing.T, v *dataview.View, rows dataset.RowSet) *core.CADView {
 	t.Helper()
 	cfg := core.Config{Pivot: "c0", MaxCompare: 2, K: 2, L: 3, Seed: 1}
 	got, _, err := core.Build(v, rows, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	fromSession, _, err := core.BuildBitmap(context.Background(), v, facet.NewSession(v, rows).Bitmap(), cfg)
+	if err != nil {
+		t.Fatalf("BuildBitmap over a facet session: %v", err)
+	}
+	if !reflect.DeepEqual(fromSession, got) {
+		t.Error("BuildBitmap over a facet session differs from BuildContext over the same rows")
 	}
 	scan := cfg
 	scan.Ranker = featsel.ChiSquareContext
