@@ -60,26 +60,6 @@ func BenchmarkClusterKernel(b *testing.B) {
 	})
 }
 
-// BenchmarkClusterRestarts measures the concurrent restart fan-out
-// (deterministic winner by lowest inertia, earliest index) against a
-// single run.
-func BenchmarkClusterRestarts(b *testing.B) {
-	sp := clusterKernelPoints(b)
-	for _, restarts := range []int{1, 4} {
-		name := "restarts1"
-		if restarts != 1 {
-			name = "restarts4"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cluster.KMeans(sp, 15, cluster.Options{Seed: 1, Restarts: restarts}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkClusterCorrBuild is the end-to-end CAD View build over the
 // correlated 200K fixture — clustering dominates this build, so it
 // tracks the kernel win at macro scale with realistic structure.

@@ -361,7 +361,7 @@ func BenchmarkAblationSummarizer(b *testing.B) {
 	b.Run("fds", func(b *testing.B) {
 		attrs := []string{"Make", "Model", "Engine", "Drivetrain", "BodyType"}
 		for i := 0; i < b.N; i++ {
-			if _, err := fd.Discover(carView, rows, attrs, fd.Options{}); err != nil {
+			if _, err := fd.Discover(carView, rows, attrs); err != nil {
 				b.Fatal(err)
 			}
 		}

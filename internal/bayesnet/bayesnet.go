@@ -42,27 +42,29 @@ type Network struct {
 	cpt map[string]*cpt
 }
 
+// smoothing is the Laplace pseudo-count added to every CPT cell.
+const smoothing = 1.0
+
 // cpt is one attribute's conditional probability table, kept sparse: the
 // observed (parent code, child code) counts plus each parent code's
-// smoothed total, so P(child=c | parent=p) = (s + count) / total[p].
-// Most cells of a wide pair are never observed, and a dense table of
-// them would hold the same smoothing quotient over and over.
+// smoothed total, so P(child=c | parent=p) = (smoothing + count) /
+// total[p]. Most cells of a wide pair are never observed, and a dense
+// table of them would hold the same smoothing quotient over and over.
 type cpt struct {
 	counts *dataview.Joint
 	total  []float64
-	s      float64
 }
 
-// newCPT smooths observed counts with pseudo-count s. Each parent code's
-// total sums s + count over the child codes in code order, exactly as a
+// newCPT smooths observed counts. Each parent code's total sums
+// smoothing + count over the child codes in code order, exactly as a
 // dense table's row would be summed.
-func newCPT(counts *dataview.Joint, s float64) *cpt {
-	t := &cpt{counts: counts, total: make([]float64, counts.ACard()), s: s}
+func newCPT(counts *dataview.Joint) *cpt {
+	t := &cpt{counts: counts, total: make([]float64, counts.ACard())}
 	for pc := range t.total {
 		codes, obs := counts.Row(pc)
 		k := 0
 		for cc := 0; cc < counts.BCard; cc++ {
-			c := s
+			c := smoothing
 			if k < len(codes) && int(codes[k]) == cc {
 				c += float64(obs[k])
 				k++
@@ -76,7 +78,7 @@ func newCPT(counts *dataview.Joint, s float64) *cpt {
 // prob returns P(child=cc | parent=pc).
 func (t *cpt) prob(pc, cc int) float64 {
 	codes, obs := t.counts.Row(pc)
-	c := t.s
+	c := smoothing
 	if k, ok := slices.BinarySearch(codes, int32(cc)); ok {
 		c += float64(obs[k])
 	}
@@ -89,9 +91,6 @@ type Options struct {
 	// attribute with the highest total mutual information (the most
 	// "central" attribute).
 	Root string
-	// Smoothing is the Laplace pseudo-count for CPT estimation
-	// (default 1).
-	Smoothing float64
 }
 
 // Learn fits a Chow-Liu tree over the given attributes of v restricted
@@ -114,9 +113,6 @@ func Learn(v *dataview.View, rows dataset.RowSet, attrs []string, opt Options) (
 // information for every pair and the tree edges' conditional tables all
 // come from the sweep's joint counts.
 func LearnPairs(pc *dataview.PairCounts, opt Options) (*Network, error) {
-	if opt.Smoothing <= 0 {
-		opt.Smoothing = 1
-	}
 	n := len(pc.Cols)
 	attrs := make([]string, n)
 	cols := make(map[string]*dataview.Column, n)
@@ -216,9 +212,9 @@ func LearnPairs(pc *dataview.PairCounts, opt Options) (*Network, error) {
 	for i, a := range attrs {
 		p := parentIdx[i]
 		if p < 0 {
-			net.cpt[a] = newCPT(pc.MarginalJoint(i), opt.Smoothing)
+			net.cpt[a] = newCPT(pc.MarginalJoint(i))
 		} else {
-			net.cpt[a] = newCPT(pc.Joint(p, i), opt.Smoothing)
+			net.cpt[a] = newCPT(pc.Joint(p, i))
 		}
 	}
 	return net, nil

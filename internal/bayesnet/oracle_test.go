@@ -59,7 +59,7 @@ func oraclePairMI(x, y *dataview.Column, rows dataset.RowSet) float64 {
 	return max(mi, 0)
 }
 
-func oracleLearn(t *testing.T, v *dataview.View, rows dataset.RowSet, attrs []string, s float64) *oracleNet {
+func oracleLearn(t *testing.T, v *dataview.View, rows dataset.RowSet, attrs []string) *oracleNet {
 	t.Helper()
 	n := len(attrs)
 	cols := make(map[string]*dataview.Column, n)
@@ -132,7 +132,7 @@ func oracleLearn(t *testing.T, v *dataview.View, rows dataset.RowSet, attrs []st
 		for pc := range table {
 			table[pc] = make([]float64, child.Cardinality())
 			for cc := range table[pc] {
-				table[pc][cc] = s
+				table[pc][cc] = 1 // Laplace pseudo-count
 			}
 		}
 		for _, r := range rows {
@@ -190,29 +190,18 @@ func randomView(t *testing.T, rng *rand.Rand, n int) (*dataview.View, []string) 
 	return v, []string{"c0", "c1", "c2", "one", "x"}
 }
 
-// checkAgainstOracle learns over rows at smoothing s and compares the
-// root, every edge with its MI, every Prob and the log-likelihood with
-// the oracle. At s = 1 — what /suggest uses — everything must be bit
-// for bit. A fractional s may differ in the last bits: the oracle's
-// dense cells add 1 to s once per row, rounding each time the sum
-// crosses a power of two, while the sparse tables add the count once;
-// the relative gap stays within a few ulps (1e-15).
-func checkAgainstOracle(t *testing.T, v *dataview.View, rows dataset.RowSet, attrs []string, s float64) {
+// checkAgainstOracle learns over rows and compares the root, every edge
+// with its MI, every Prob and the log-likelihood with the oracle, bit for
+// bit.
+func checkAgainstOracle(t *testing.T, v *dataview.View, rows dataset.RowSet, attrs []string) {
 	t.Helper()
-	net, err := Learn(v, rows, attrs, Options{Smoothing: s})
+	net, err := Learn(v, rows, attrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := oracleLearn(t, v, rows, attrs, s)
+	want := oracleLearn(t, v, rows, attrs)
 	if net.Root != want.root || !reflect.DeepEqual(net.Edges, want.edges) {
 		t.Fatalf("tree over %d rows:\n got %s %+v\nwant %s %+v", len(rows), net.Root, net.Edges, want.root, want.edges)
-	}
-	tol := 0.0
-	if s != 1 {
-		tol = 1e-15
-	}
-	near := func(got, want float64) bool {
-		return got == want || math.Abs(got-want) <= tol*math.Abs(want)
 	}
 	for _, a := range attrs {
 		col := want.cols[a]
@@ -232,8 +221,8 @@ func checkAgainstOracle(t *testing.T, v *dataview.View, rows dataset.RowSet, att
 				if err != nil {
 					t.Fatal(err)
 				}
-				if w := want.cpt[a][pc][col.CodeOf(cl)]; !near(got, w) {
-					t.Fatalf("P(%s=%s | %s) at s=%v = %v, oracle %v", a, cl, pl, s, got, w)
+				if w := want.cpt[a][pc][col.CodeOf(cl)]; got != w {
+					t.Fatalf("P(%s=%s | %s) = %v, oracle %v", a, cl, pl, got, w)
 				}
 			}
 		}
@@ -250,31 +239,28 @@ func checkAgainstOracle(t *testing.T, v *dataview.View, rows dataset.RowSet, att
 			}
 		}
 	}
-	if got := net.LogLikelihood(rows); !near(got, ll) {
-		t.Fatalf("LogLikelihood at s=%v = %v, oracle %v", s, got, ll)
+	if got := net.LogLikelihood(rows); got != ll {
+		t.Fatalf("LogLikelihood = %v, oracle %v", got, ll)
 	}
 }
 
 // TestLearnMatchesRowScanOracle pins Learn to the oracle on random
 // tables with NaN numeric cells and a single-valued column, over the
-// whole view and over row subsets, at the default and a fractional
-// smoothing.
+// whole view and over row subsets.
 func TestLearnMatchesRowScanOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 12; trial++ {
 		n := 20 + rng.Intn(3000)
 		v, attrs := randomView(t, rng, n)
-		for _, s := range []float64{1, 0.37} {
-			checkAgainstOracle(t, v, dataset.AllRows(n), attrs, s)
-			var sub dataset.RowSet
-			for r := 0; r < n; r++ {
-				if rng.Float64() < 0.4 {
-					sub = append(sub, r)
-				}
+		checkAgainstOracle(t, v, dataset.AllRows(n), attrs)
+		var sub dataset.RowSet
+		for r := 0; r < n; r++ {
+			if rng.Float64() < 0.4 {
+				sub = append(sub, r)
 			}
-			if len(sub) > 0 {
-				checkAgainstOracle(t, v, sub, attrs, s)
-			}
+		}
+		if len(sub) > 0 {
+			checkAgainstOracle(t, v, sub, attrs)
 		}
 	}
 }
@@ -285,6 +271,6 @@ func TestLearnSegmentBoundaryShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, n := range []int{dataset.SegmentSize - 1, dataset.SegmentSize, dataset.SegmentSize + 1} {
 		v, attrs := randomView(t, rng, n)
-		checkAgainstOracle(t, v, dataset.AllRows(n), attrs, 1)
+		checkAgainstOracle(t, v, dataset.AllRows(n), attrs)
 	}
 }

@@ -162,7 +162,7 @@ func TestKMeansSampledFit(t *testing.T) {
 
 // TestKMeansEdgeCases covers the inputs TestSparseKMeansEdgeCases does
 // not: points without attributes, a negative k, a sample no smaller than
-// the point set (which must fit unsampled), and restarts with k > n.
+// the point set (which must fit unsampled), and k > n.
 func TestKMeansEdgeCases(t *testing.T) {
 	if _, err := KMeans(&SparsePoints{N: 3, A: 0}, 2, Options{}); err == nil {
 		t.Error("no attributes: want error")
@@ -180,12 +180,12 @@ func TestKMeansEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertIdentical(t, "sample>=n", plain, whole)
-	res, err := KMeans(sp, 10, Options{Seed: 1, Restarts: 3})
+	res, err := KMeans(sp, 10, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.K != sp.N {
-		t.Errorf("restarted K = %d, want clamp to %d", res.K, sp.N)
+		t.Errorf("K = %d, want clamp to %d", res.K, sp.N)
 	}
 }
 
@@ -219,29 +219,5 @@ func TestKMeansInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestKMeansRestarts(t *testing.T) {
-	v, rows, _ := twoGroupView(t, 300, 6)
-	sp := encodeGroups(t, v, rows)
-	single, err := KMeans(sp, 6, Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := KMeans(sp, 6, Options{Seed: 2, Restarts: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi.Inertia > single.Inertia {
-		t.Errorf("restarts made inertia worse: %g > %g", multi.Inertia, single.Inertia)
-	}
-	// Deterministic under the same options.
-	again, err := KMeans(sp, 6, Options{Seed: 2, Restarts: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Inertia != multi.Inertia {
-		t.Error("restarted fit not deterministic")
 	}
 }

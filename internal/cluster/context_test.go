@@ -23,18 +23,14 @@ func TestKMeansContextCanceled(t *testing.T) {
 	if _, err := KMeansContext(ctx, ctxTestPoints(), 2, Options{Seed: 1}); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
-	// The restart loop propagates cancellation too.
-	if _, err := KMeansContext(ctx, ctxTestPoints(), 2, Options{Seed: 1, Restarts: 3}); !errors.Is(err, context.Canceled) {
-		t.Errorf("restarts err = %v, want context.Canceled", err)
-	}
 }
 
 func TestKMeansContextMatchesKMeans(t *testing.T) {
-	plain, err := KMeans(ctxTestPoints(), 2, Options{Seed: 3, Restarts: 2})
+	plain, err := KMeans(ctxTestPoints(), 2, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := KMeansContext(context.Background(), ctxTestPoints(), 2, Options{Seed: 3, Restarts: 2})
+	withCtx, err := KMeansContext(context.Background(), ctxTestPoints(), 2, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

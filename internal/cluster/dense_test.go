@@ -67,30 +67,8 @@ func Encode(v *dataview.View, rows dataset.RowSet, attrs []string) (*Points, *En
 // KMeansDense clusters the dense one-hot matrix p into at most k groups.
 // It is the reference implementation the sparse KMeans kernel is verified
 // against (bit-identical results) and the baseline for the clustering
-// ablation benches. With Restarts > 1 the best of several seeded runs
-// (by inertia) is returned.
+// ablation benches.
 func KMeansDense(p *Points, k int, opt Options) (*Result, error) {
-	if opt.Restarts > 1 {
-		restarts := opt.Restarts
-		opt.Restarts = 1
-		var best *Result
-		for r := 0; r < restarts; r++ {
-			run := opt
-			run.Seed = opt.Seed + int64(r)*1_000_003
-			res, err := KMeansDense(p, k, run)
-			if err != nil {
-				return nil, err
-			}
-			if best == nil || res.Inertia < best.Inertia {
-				best = res
-			}
-		}
-		return best, nil
-	}
-	return kmeansOnce(p, k, opt)
-}
-
-func kmeansOnce(p *Points, k int, opt Options) (*Result, error) {
 	if p == nil || p.N == 0 {
 		return nil, fmt.Errorf("cluster: no points")
 	}
@@ -99,9 +77,6 @@ func kmeansOnce(p *Points, k int, opt Options) (*Result, error) {
 	}
 	if k > p.N {
 		k = p.N
-	}
-	if opt.MaxIter <= 0 {
-		opt.MaxIter = 50
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 
@@ -122,7 +97,7 @@ func kmeansOnce(p *Points, k int, opt Options) (*Result, error) {
 	assign := make([]int, fitPoints.N)
 	counts := make([]int, k)
 	iters := 0
-	for ; iters < opt.MaxIter; iters++ {
+	for ; iters < maxIter; iters++ {
 		changed := assignPoints(fitPoints, centers, k, assign)
 		if !changed && iters > 0 {
 			break
@@ -195,7 +170,7 @@ func reseedEmpty(p *Points, centers []float64, assign []int, empty []int) {
 		// Rounding can make a pure cluster's mean differ from its
 		// points by ~1e-32; such "distances" must not trigger a
 		// re-seed or the seeded copy steals the whole cluster and the
-		// loop oscillates until MaxIter.
+		// loop oscillates until maxIter.
 		const eps = 1e-9
 		if used >= len(cands) || cands[used].d <= eps {
 			break // no genuinely distant point left; leave center as is

@@ -89,8 +89,6 @@ func TestSparseMatchesDenseMushroom(t *testing.T) {
 	}
 	// §6.3 sampled center fitting follows the same RNG stream.
 	runBoth(t, "mushroom-sampled", dense, sparse, 6, Options{Seed: 2, SampleSize: 500})
-	// Restart selection compares bit-equal inertias.
-	runBoth(t, "mushroom-restarts", dense, sparse, 6, Options{Seed: 3, Restarts: 4})
 }
 
 func TestSparseMatchesDenseCars(t *testing.T) {

@@ -30,32 +30,20 @@ type Encoding struct {
 
 // Options configures KMeans.
 type Options struct {
-	// MaxIter bounds Lloyd iterations (default 50).
-	MaxIter int
 	// Seed drives k-means++ seeding and sampling.
 	Seed int64
 	// SampleSize, when > 0 and smaller than the point count, fits
 	// centers on that many sampled points and then assigns all points
 	// to the fitted centers — §6.3 Optimization 1.
 	SampleSize int
-	// Restarts runs the whole fit this many times with different
-	// seedings and keeps the lowest-inertia result (default 1). The
-	// sparse kernel fans restarts out over the shared worker pool;
-	// winner selection (lowest inertia, earliest restart on ties) is
-	// identical to the sequential loop, so results stay reproducible.
-	Restarts int
-
-	// serialInner runs the fit's data-parallel chunk loops inline on the
-	// calling goroutine. Set by the restart fan-out, which already owns
-	// the worker pool; nesting pool on pool would oversubscribe it.
-	serialInner bool
 }
+
+// maxIter bounds the Lloyd iterations of one fit.
+const maxIter = 50
 
 // StageTimes splits a k-means fit's wall time across the Lloyd phases:
 // k-means++ seeding, assignment passes (including the final full-point
 // pass and inertia sum), center updates, and empty-center reseeding.
-// With restarts the times aggregate every restart's work, not just the
-// winner's.
 type StageTimes struct {
 	Seed   time.Duration `json:"seed"`
 	Assign time.Duration `json:"assign"`

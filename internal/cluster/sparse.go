@@ -443,7 +443,6 @@ type sparseFit struct {
 	centers []float64 // row-major k×Dim
 	cNorm   []float64 // per-center squared norm, refreshed on center change
 	eps     float64   // near-tie window for the exact-argmin fallback
-	serial  bool      // run chunk loops inline (restart fan-out owns the pool)
 
 	nz    [][]int32 // per center: sorted nonzero coordinates of the row
 	epoch []int32   // per center: bumped whenever the row changes
@@ -455,17 +454,6 @@ type sparseFit struct {
 	// scan everywhere else — a free read-off.
 	seedOf        []int32
 	seedD2, seed2 []float64
-}
-
-// forChunks dispatches the fit's data-parallel loops: through the shared
-// pool normally, inline when the fit runs inside a restart fan-out (the
-// fan-out already owns the worker pool; nesting would oversubscribe it).
-func (f *sparseFit) forChunks(n, minChunk int, fn func(lo, hi int)) {
-	if f.serial {
-		fn(0, n)
-		return
-	}
-	parallel.ForChunks(n, minChunk, fn)
 }
 
 // dot returns Σ_a centers[c][off_a + code_a] — the inner product of the
@@ -564,7 +552,7 @@ func (f *sparseFit) seedPlusPlus(rng *rand.Rand) [][]int32 {
 	seedOf := make([]int32, gs.g)
 	sd := make([]float64, f.k)
 	seed2 := make([]float64, gs.g)
-	f.forChunks(gs.g, minChunkGroups, func(lo, hi int) {
+	parallel.ForChunks(gs.g, minChunkGroups, func(lo, hi int) {
 		for g := lo; g < hi; g++ {
 			d2[g] = groupDist2(gs.rowCodes(g), seedCodes[0])
 			seed2[g] = math.Inf(1)
@@ -607,7 +595,7 @@ func (f *sparseFit) seedPlusPlus(rng *rand.Rand) [][]int32 {
 		for j := 0; j < c; j++ {
 			sd[j] = groupDist2(seedCodes[c], seedCodes[j])
 		}
-		f.forChunks(gs.g, minChunkGroups, func(lo, hi int) {
+		parallel.ForChunks(gs.g, minChunkGroups, func(lo, hi int) {
 			for g := lo; g < hi; g++ {
 				D, g2 := sd[seedOf[g]], d2[g]
 				if diff := D + g2 - seed2[g]; diff >= 0 && diff*diff >= 4*D*g2 {
@@ -643,7 +631,7 @@ func (f *sparseFit) seedPlusPlus(rng *rand.Rand) [][]int32 {
 // same integers, so the pass costs O(G) with two sqrts per group and no
 // distance work at all.
 func (f *sparseFit) assignFromSeeding(assign []int32, bs *boundState) {
-	f.forChunks(f.gs.g, minChunkGroups, func(lo, hi int) {
+	parallel.ForChunks(f.gs.g, minChunkGroups, func(lo, hi int) {
 		for g := lo; g < hi; g++ {
 			a := f.seedOf[g]
 			assign[g] = a
@@ -715,7 +703,7 @@ func (f *sparseFit) decideGroup(codes []int32, scores []float64) (best int, best
 // (including its tie behavior) exactly.
 func (f *sparseFit) assignGroups(assign []int32) {
 	gs := f.gs
-	f.forChunks(gs.g, minChunkGroups, func(lo, hi int) {
+	parallel.ForChunks(gs.g, minChunkGroups, func(lo, hi int) {
 		scores := make([]float64, f.k)
 		for g := lo; g < hi; g++ {
 			best, _, _, _, _ := f.decideGroup(gs.rowCodes(g), scores)
@@ -785,7 +773,7 @@ func (f *sparseFit) assignGroupsPruned(assign []int32, bs *boundState) bool {
 	gs := f.gs
 	xn := float64(f.a)
 	var changed atomic.Bool
-	f.forChunks(gs.g, minChunkGroups, func(lo, hi int) {
+	parallel.ForChunks(gs.g, minChunkGroups, func(lo, hi int) {
 		scores := make([]float64, f.k)
 		chunkChanged := false
 		for g := lo; g < hi; g++ {
@@ -1035,7 +1023,7 @@ func (f *sparseFit) reseedFrom(dg []float64, empty []int) []int {
 func (f *sparseFit) reseedEmptyCached(assign []int32, empty []int, ds *deltaState, bs *boundState) {
 	gs := f.gs
 	dg := make([]float64, gs.g)
-	f.forChunks(gs.g, minChunkGroups, func(lo, hi int) {
+	parallel.ForChunks(gs.g, minChunkGroups, func(lo, hi int) {
 		for g := lo; g < hi; g++ {
 			a := int(assign[g])
 			if bs.distAE[g] >= 0 && bs.distAE[g] == f.epoch[a] {
@@ -1075,57 +1063,16 @@ func (f *sparseFit) reseedEmptyCached(assign []int32, empty []int, ds *deltaStat
 // k-way scan, and its Result — assignments, centers, inertia, iteration
 // count — is bit-identical to textbook dense Lloyd on the equivalent
 // dense one-hot encoding (the reference in dense_test.go); see DESIGN.md
-// §16 for the equivalence argument. With Restarts > 1 the
-// restarts fan out over the shared worker pool with independent rng
-// streams and the winner — lowest inertia, earliest restart on ties — is
-// the same result the sequential loop returns.
+// §16 for the equivalence argument.
 func KMeans(sp *SparsePoints, k int, opt Options) (*Result, error) {
 	return KMeansContext(context.Background(), sp, k, opt)
 }
 
 // KMeansContext is KMeans with request-lifecycle support: the fit checks
-// ctx before every Lloyd iteration (and inside every concurrent restart)
-// and aborts with ctx's error, so a canceled CAD View build stops
-// clustering within one iteration instead of running to convergence.
+// ctx before every Lloyd iteration and aborts with ctx's error, so a
+// canceled CAD View build stops clustering within one iteration instead
+// of running to convergence.
 func KMeansContext(ctx context.Context, sp *SparsePoints, k int, opt Options) (*Result, error) {
-	if opt.Restarts > 1 {
-		restarts := opt.Restarts
-		opt.Restarts = 1
-		results := make([]*Result, restarts)
-		err := parallel.DoErr(restarts, func(r int) error {
-			run := opt
-			run.Seed = opt.Seed + int64(r)*1_000_003
-			// The fan-out owns the worker pool; inner chunk loops run
-			// inline so restarts never stack pool on pool.
-			run.serialInner = true
-			res, rerr := kmeansSparseOnce(ctx, sp, k, run)
-			results[r] = res
-			return rerr
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Deterministic winner: lowest inertia, earliest restart on ties —
-		// exactly what the sequential loop's strict < comparison keeps.
-		best := results[0]
-		for _, res := range results[1:] {
-			if res.Inertia < best.Inertia {
-				best = res
-			}
-		}
-		// Stage times aggregate the work of every restart, not just the
-		// winner's, so the Timings breakdown reflects actual cost.
-		var st StageTimes
-		for _, res := range results {
-			st.Add(res.Stages)
-		}
-		best.Stages = st
-		return best, nil
-	}
-	return kmeansSparseOnce(ctx, sp, k, opt)
-}
-
-func kmeansSparseOnce(ctx context.Context, sp *SparsePoints, k int, opt Options) (*Result, error) {
 	if sp == nil || sp.N == 0 {
 		return nil, fmt.Errorf("cluster: no points")
 	}
@@ -1137,9 +1084,6 @@ func kmeansSparseOnce(ctx context.Context, sp *SparsePoints, k int, opt Options)
 	}
 	if k > sp.N {
 		k = sp.N
-	}
-	if opt.MaxIter <= 0 {
-		opt.MaxIter = 50
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 
@@ -1169,9 +1113,8 @@ func kmeansSparseOnce(ctx context.Context, sp *SparsePoints, k int, opt Options)
 		centers: make([]float64, k*sp.Dim),
 		cNorm:   make([]float64, k),
 		eps:     eps,
-		serial:  opt.serialInner,
 	}
-	return f.lloydPruned(ctx, sp, full, fit, rng, k, opt, sampled)
+	return f.lloydPruned(ctx, sp, full, fit, rng, k, sampled)
 }
 
 // lloydPruned is the Lloyd loop: identical decisions to textbook Lloyd
@@ -1186,7 +1129,7 @@ func kmeansSparseOnce(ctx context.Context, sp *SparsePoints, k int, opt Options)
 // the loop converges on an unsampled fit, the final assignment pass is
 // skipped entirely: it would recompute a fixed point of the very
 // function that just reported no changes.
-func (f *sparseFit) lloydPruned(ctx context.Context, sp *SparsePoints, full, fit *groupSet, rng *rand.Rand, k int, opt Options, sampled bool) (*Result, error) {
+func (f *sparseFit) lloydPruned(ctx context.Context, sp *SparsePoints, full, fit *groupSet, rng *rand.Rand, k int, sampled bool) (*Result, error) {
 	var st StageTimes
 	f.nz = make([][]int32, k)
 	f.epoch = make([]int32, k)
@@ -1203,7 +1146,7 @@ func (f *sparseFit) lloydPruned(ctx context.Context, sp *SparsePoints, full, fit
 	assign := make([]int32, fit.g)
 	iters := 0
 	converged := false
-	for ; iters < opt.MaxIter; iters++ {
+	for ; iters < maxIter; iters++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -1243,7 +1186,7 @@ func (f *sparseFit) lloydPruned(ctx context.Context, sp *SparsePoints, full, fit
 		// just observed it to be change-free on these very centers and
 		// groups, so rerunning it would reproduce assign bit for bit.
 		fullAssign = assign
-		f.forChunks(full.g, minChunkGroups, func(lo, hi int) {
+		parallel.ForChunks(full.g, minChunkGroups, func(lo, hi int) {
 			for g := lo; g < hi; g++ {
 				a := int(fullAssign[g])
 				if bs.distAE[g] >= 0 && bs.distAE[g] == f.epoch[a] {
@@ -1257,7 +1200,7 @@ func (f *sparseFit) lloydPruned(ctx context.Context, sp *SparsePoints, full, fit
 		f.gs, f.n = full, sp.N
 		fullAssign = make([]int32, full.g)
 		f.assignGroups(fullAssign)
-		f.forChunks(full.g, minChunkGroups, func(lo, hi int) {
+		parallel.ForChunks(full.g, minChunkGroups, func(lo, hi int) {
 			for g := lo; g < hi; g++ {
 				dist[g] = f.distNZ(full.rowCodes(g), int(fullAssign[g]))
 			}

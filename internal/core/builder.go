@@ -41,15 +41,8 @@ type Config struct {
 	// Alpha sets the IUnit similarity threshold τ = Alpha·|I|
 	// (default 0.7).
 	Alpha float64
-	// Significance is the chi-square p-value cut for automatically
-	// selected Compare Attributes (default 0.05).
-	Significance float64
 	// Preference scores IUnits for top-k ranking (default ByClusterSize).
 	Preference Preference
-	// Ranker selects Compare Attributes (default
-	// featsel.ChiSquareContext). Rankers receive the build's context and
-	// are expected to honor its cancellation.
-	Ranker featsel.Ranker
 	// Seed makes clustering deterministic.
 	Seed int64
 	// FeatureSampleSize, when > 0, ranks Compare Attributes on at most
@@ -73,14 +66,11 @@ type Config struct {
 	// identical to the sequential build (all randomness is seeded per
 	// pivot value); only wall-clock changes.
 	Parallel bool
-	// Labeling controls cluster label construction.
-	Labeling LabelOptions
-
-	// defaultRanker records whether Ranker was left nil and filled by
-	// withDefaults — only then may the build substitute the contingency
-	// sweep's bitmap form for the ranker call.
-	defaultRanker bool
 }
+
+// significance is the chi-square p-value cut for automatically selected
+// Compare Attributes (§3.1.1).
+const significance = 0.05
 
 func (c Config) withDefaults() Config {
 	if c.MaxCompare <= 0 {
@@ -95,15 +85,8 @@ func (c Config) withDefaults() Config {
 	if c.Alpha <= 0 {
 		c.Alpha = 0.7
 	}
-	if c.Significance <= 0 {
-		c.Significance = 0.05
-	}
 	if c.Preference == nil {
 		c.Preference = ByClusterSize
-	}
-	if c.Ranker == nil {
-		c.Ranker = featsel.ChiSquareContext
-		c.defaultRanker = true
 	}
 	return c
 }
@@ -397,19 +380,20 @@ func explicitCompareAttrs(v *dataview.View, cfg Config) (chosen, candidates []st
 	return chosen, candidates, nil
 }
 
-// applyScores appends ranked attributes to chosen up to the MaxCompare
-// budget: rankers with a significance test (chi-square) are cut at the
-// configured level, score-only rankers require positive weight. When
-// nothing passes the cut — e.g. a single pivot value, where no attribute
-// can contrast classes — the view still needs attributes to cluster and
-// label on, so it falls back to the ranker's top candidates.
+// applyScores appends chi-square ranked attributes to chosen up to the
+// MaxCompare budget. An attribute is kept when its p-value passes the
+// significance cut, or when its p-value is 1 (a degenerate table, or a
+// statistic too small to move it) but its statistic is positive. When
+// nothing passes — e.g. a single pivot value, where no attribute can
+// contrast classes — the view still needs attributes to cluster and
+// label on, so it falls back to the top-ranked candidates.
 func applyScores(chosen []string, scores []featsel.Score, cfg Config) []string {
 	for _, s := range scores {
 		if len(chosen) == cfg.MaxCompare {
 			break
 		}
 		if s.PValue < 1 {
-			if s.PValue > cfg.Significance {
+			if s.PValue > significance {
 				continue
 			}
 		} else if s.Stat <= 0 {
@@ -430,28 +414,23 @@ func applyScores(chosen []string, scores []featsel.Score, cfg Config) []string {
 
 // selectCompareAttrsBitmap applies the paper's Compare Attribute policy
 // over the result-set bitmap: explicitly selected attributes first, then
-// automatically ranked ones that pass the significance threshold, up to
-// MaxCompare total. With the default chi-square ranker and no sampling,
-// the contingency sweep runs in its bitmap form (intersect-popcount
-// against the class postings, cost-dispatched per candidate) without
-// materializing a row set at all; feature sampling draws the systematic
-// sample straight off the bitmap; a custom ranker sees the bitmap's rows
-// as an ascending row set.
+// chi-square ranked ones that pass the significance threshold, up to
+// MaxCompare total. Without sampling, the contingency sweep runs in its
+// bitmap form (intersect-popcount against the class postings,
+// cost-dispatched per candidate) without materializing a row set at all;
+// feature sampling draws the systematic sample straight off the bitmap
+// and ranks it with the row-scan sweep.
 func selectCompareAttrsBitmap(ctx context.Context, v *dataview.View, bmV *dataset.Bitmap, cfg Config) ([]string, error) {
 	chosen, candidates, err := explicitCompareAttrs(v, cfg)
 	if err != nil || len(candidates) == 0 {
 		return chosen, err
 	}
-	nV := bmV.Len()
 	var scores []featsel.Score
-	switch {
-	case cfg.FeatureSampleSize > 0 && cfg.FeatureSampleSize < nV:
+	if cfg.FeatureSampleSize > 0 && cfg.FeatureSampleSize < bmV.Len() {
 		rankRows := sampleRowsBitmap(bmV, cfg.FeatureSampleSize, cfg.Seed)
-		scores, err = cfg.Ranker(ctx, v, rankRows, cfg.Pivot, candidates)
-	case cfg.defaultRanker:
+		scores, err = featsel.ChiSquareContext(ctx, v, rankRows, cfg.Pivot, candidates)
+	} else {
 		scores, err = featsel.ChiSquareBitmapContext(ctx, v, bmV, cfg.Pivot, candidates)
-	default:
-		scores, err = cfg.Ranker(ctx, v, bmV.ToRowSet(), cfg.Pivot, candidates)
 	}
 	if err != nil {
 		return nil, err
@@ -588,7 +567,7 @@ func makeIUnits(v *dataview.View, pivotValue string, rowsVal *dataset.Bitmap, km
 		if len(rows) == 0 {
 			continue
 		}
-		labels, freqs, err := labelsFromCounts(v, compareAttrs, countsBy[c], len(rows), cfg.Labeling)
+		labels, freqs, err := labelsFromCounts(v, compareAttrs, countsBy[c], len(rows))
 		if err != nil {
 			return nil, err
 		}

@@ -2,40 +2,23 @@ package core
 
 import "dbexplorer/internal/dataview"
 
-// LabelOptions controls cluster labeling (§3.1.2): how many
-// representative values an IUnit shows per Compare Attribute and when
-// values are grouped into one bracket because their frequency counts are
-// statistically indistinguishable.
-type LabelOptions struct {
-	// MaxValues bounds the total values displayed per label (the
-	// paper's "max display count"; default 4).
-	MaxValues int
-	// MaxGroups bounds the number of bracketed groups (default 2).
-	MaxGroups int
-	// GroupTolerance is the maximum relative frequency difference for
-	// two values to share a bracket (default 0.2: counts within 20% of
-	// the group leader group together).
-	GroupTolerance float64
-	// MinSupport drops values covering less than this fraction of the
-	// cluster (default 0.15), so rare stragglers don't pollute labels.
-	MinSupport float64
-}
-
-func (o LabelOptions) withDefaults() LabelOptions {
-	if o.MaxValues <= 0 {
-		o.MaxValues = 4
-	}
-	if o.MaxGroups <= 0 {
-		o.MaxGroups = 2
-	}
-	if o.GroupTolerance <= 0 {
-		o.GroupTolerance = 0.2
-	}
-	if o.MinSupport <= 0 {
-		o.MinSupport = 0.15
-	}
-	return o
-}
+// Label construction constants (§3.1.2): how many representative values
+// an IUnit shows per Compare Attribute, and when values share one bracket
+// because their frequency counts are statistically indistinguishable.
+const (
+	// labelMaxValues bounds the total values displayed per label (the
+	// paper's "max display count").
+	labelMaxValues = 4
+	// labelMaxGroups bounds the number of bracketed groups.
+	labelMaxGroups = 2
+	// labelGroupTolerance is the maximum relative frequency difference
+	// for two values to share a bracket: counts within 20% of the group
+	// leader group together.
+	labelGroupTolerance = 0.2
+	// labelMinSupport drops values covering less than this fraction of
+	// the cluster, so rare stragglers don't pollute labels.
+	labelMinSupport = 0.15
+)
 
 // labelsFromCounts summarizes a cluster from precomputed per-attribute
 // code frequency tables — the form the build derives from collapsed
@@ -44,8 +27,7 @@ func (o LabelOptions) withDefaults() LabelOptions {
 // the full code-frequency vector that Algorithm 1 similarity consumes.
 // counts[d] must be sized to attribute d's cardinality and sum to
 // clusterSize.
-func labelsFromCounts(v *dataview.View, compareAttrs []string, counts [][]int, clusterSize int, opt LabelOptions) ([]Label, [][]float64, error) {
-	opt = opt.withDefaults()
+func labelsFromCounts(v *dataview.View, compareAttrs []string, counts [][]int, clusterSize int) ([]Label, [][]float64, error) {
 	labels := make([]Label, len(compareAttrs))
 	freqs := make([][]float64, len(compareAttrs))
 	for d, attr := range compareAttrs {
@@ -58,14 +40,14 @@ func labelsFromCounts(v *dataview.View, compareAttrs []string, counts [][]int, c
 			freq[i] = float64(c)
 		}
 		freqs[d] = freq
-		labels[d] = Label{Attr: attr, Groups: groupValues(col, counts[d], clusterSize, opt)}
+		labels[d] = Label{Attr: attr, Groups: groupValues(col, counts[d], clusterSize)}
 	}
 	return labels, freqs, nil
 }
 
 // groupValues ranks values by in-cluster frequency and packs them into
 // bracketed groups of statistically similar counts.
-func groupValues(col *dataview.Column, counts []int, clusterSize int, opt LabelOptions) []LabelGroup {
+func groupValues(col *dataview.Column, counts []int, clusterSize int) []LabelGroup {
 	type vc struct {
 		code  int
 		count int
@@ -97,11 +79,11 @@ func groupValues(col *dataview.Column, counts []int, clusterSize int, opt LabelO
 		ranked[j+1] = v
 	}
 
-	minCount := opt.MinSupport * float64(clusterSize)
+	minCount := labelMinSupport * float64(clusterSize)
 	var groups []LabelGroup
 	shown := 0
 	for _, r := range ranked {
-		if shown >= opt.MaxValues {
+		if shown >= labelMaxValues {
 			break
 		}
 		// Always show the dominant value; apply the support cut to the
@@ -111,14 +93,14 @@ func groupValues(col *dataview.Column, counts []int, clusterSize int, opt LabelO
 		}
 		if len(groups) > 0 {
 			leader := groups[len(groups)-1].Count
-			if float64(leader-r.count) <= opt.GroupTolerance*float64(leader) {
+			if float64(leader-r.count) <= labelGroupTolerance*float64(leader) {
 				g := &groups[len(groups)-1]
 				g.Values = append(g.Values, col.Label(r.code))
 				shown++
 				continue
 			}
 		}
-		if len(groups) >= opt.MaxGroups {
+		if len(groups) >= labelMaxGroups {
 			break
 		}
 		groups = append(groups, LabelGroup{Values: []string{col.Label(r.code)}, Count: r.count})

@@ -11,7 +11,7 @@ import (
 // buildLabels is labelsFromCounts fed by a per-row code tally over the
 // cluster's member rows — the row-scan reference for the group-derived
 // counts the build passes in.
-func buildLabels(v *dataview.View, compareAttrs []string, rows dataset.RowSet, opt LabelOptions) ([]Label, [][]float64, error) {
+func buildLabels(v *dataview.View, compareAttrs []string, rows dataset.RowSet) ([]Label, [][]float64, error) {
 	counts := make([][]int, len(compareAttrs))
 	for d, attr := range compareAttrs {
 		col, err := v.Column(attr)
@@ -26,7 +26,7 @@ func buildLabels(v *dataview.View, compareAttrs []string, rows dataset.RowSet, o
 			}
 		}
 	}
-	return labelsFromCounts(v, compareAttrs, counts, len(rows), opt)
+	return labelsFromCounts(v, compareAttrs, counts, len(rows))
 }
 
 // labelView builds a tiny one-column view whose code frequencies are
@@ -56,7 +56,7 @@ func repeat(v string, n int) []string {
 	return out
 }
 
-func groupsOf(t *testing.T, counts map[string]int, opt LabelOptions) [][]string {
+func groupsOf(t *testing.T, counts map[string]int) [][]string {
 	t.Helper()
 	var values []string
 	for v, n := range counts {
@@ -69,7 +69,7 @@ func groupsOf(t *testing.T, counts map[string]int, opt LabelOptions) [][]string 
 		raw[code] = counts[col.Label(code)]
 		total += raw[code]
 	}
-	groups := groupValues(col, raw, total, opt.withDefaults())
+	groups := groupValues(col, raw, total)
 	out := make([][]string, len(groups))
 	for i, g := range groups {
 		out[i] = g.Values
@@ -79,8 +79,8 @@ func groupsOf(t *testing.T, counts map[string]int, opt LabelOptions) [][]string 
 
 func TestGroupValuesSimilarCountsShareBracket(t *testing.T) {
 	// 50/48 are within the 20% tolerance: one bracket. 10 is far off
-	// and below default MinSupport·108 ≈ 16: dropped.
-	got := groupsOf(t, map[string]int{"a": 50, "b": 48, "c": 10}, LabelOptions{})
+	// and below labelMinSupport·108 ≈ 16: dropped.
+	got := groupsOf(t, map[string]int{"a": 50, "b": 48, "c": 10})
 	want := [][]string{{"a", "b"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("groups = %v, want %v", got, want)
@@ -89,7 +89,7 @@ func TestGroupValuesSimilarCountsShareBracket(t *testing.T) {
 
 func TestGroupValuesDistinctCountsSeparateBrackets(t *testing.T) {
 	// 60 vs 35: separate brackets (gap > 20%), both above support.
-	got := groupsOf(t, map[string]int{"a": 60, "b": 35}, LabelOptions{})
+	got := groupsOf(t, map[string]int{"a": 60, "b": 35})
 	want := [][]string{{"a"}, {"b"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("groups = %v, want %v", got, want)
@@ -97,39 +97,44 @@ func TestGroupValuesDistinctCountsSeparateBrackets(t *testing.T) {
 }
 
 func TestGroupValuesMaxGroupsCap(t *testing.T) {
-	got := groupsOf(t, map[string]int{"a": 60, "b": 40, "c": 25}, LabelOptions{MaxGroups: 2, MinSupport: 0.01})
-	if len(got) > 2 {
-		t.Errorf("groups = %v, want at most 2 brackets", got)
+	// Three brackets' worth of counts, all above support: the third is
+	// cut at labelMaxGroups.
+	got := groupsOf(t, map[string]int{"a": 60, "b": 40, "c": 25})
+	want := [][]string{{"a"}, {"b"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("groups = %v, want %v", got, want)
 	}
 }
 
 func TestGroupValuesMaxValuesCap(t *testing.T) {
 	counts := map[string]int{"a": 50, "b": 50, "c": 50, "d": 50, "e": 50}
-	got := groupsOf(t, counts, LabelOptions{MaxValues: 3, GroupTolerance: 0.5, MinSupport: 0.01})
+	got := groupsOf(t, counts)
 	totalShown := 0
 	for _, g := range got {
 		totalShown += len(g)
 	}
-	if totalShown != 3 {
-		t.Errorf("showed %d values (%v), want 3", totalShown, got)
+	if totalShown != labelMaxValues {
+		t.Errorf("showed %d values (%v), want %d", totalShown, got, labelMaxValues)
 	}
 }
 
 func TestGroupValuesDominantAlwaysShown(t *testing.T) {
-	// Even a fragmented cluster shows its top value.
+	// Even a fragmented cluster shows its top value, though 11 of 101
+	// rows is below labelMinSupport; the rest are cut by support.
 	counts := map[string]int{}
 	for _, v := range []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"} {
 		counts[v] = 10
 	}
 	counts["a"] = 11
-	got := groupsOf(t, counts, LabelOptions{MinSupport: 0.99})
-	if len(got) == 0 || got[0][0] != "a" {
-		t.Errorf("dominant value not shown: %v", got)
+	got := groupsOf(t, counts)
+	want := [][]string{{"a"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("groups = %v, want %v", got, want)
 	}
 }
 
 func TestGroupValuesTieBreaksAlphabetically(t *testing.T) {
-	got := groupsOf(t, map[string]int{"zed": 50, "ape": 50}, LabelOptions{})
+	got := groupsOf(t, map[string]int{"zed": 50, "ape": 50})
 	if len(got) != 1 || got[0][0] != "ape" || got[0][1] != "zed" {
 		t.Errorf("groups = %v, want alphabetical tie-break", got)
 	}
@@ -151,7 +156,7 @@ func TestBuildLabelsFrequencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels, freqs, err := buildLabels(v, []string{"A", "B"}, dataset.AllRows(10), LabelOptions{})
+	labels, freqs, err := buildLabels(v, []string{"A", "B"}, dataset.AllRows(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +170,7 @@ func TestBuildLabelsFrequencies(t *testing.T) {
 	if labels[1].Groups[0].Values[0] != "only" {
 		t.Errorf("label B = %+v", labels[1])
 	}
-	if _, _, err := buildLabels(v, []string{"Nope"}, dataset.AllRows(10), LabelOptions{}); err == nil {
+	if _, _, err := buildLabels(v, []string{"Nope"}, dataset.AllRows(10)); err == nil {
 		t.Error("unknown attribute: want error")
 	}
 }
@@ -180,7 +185,7 @@ func TestLabelsEmptyCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels, freqs, err := buildLabels(v, []string{"A"}, dataset.RowSet{}, LabelOptions{})
+	labels, freqs, err := buildLabels(v, []string{"A"}, dataset.RowSet{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +198,7 @@ func TestLabelsEmptyCluster(t *testing.T) {
 		}
 	}
 	colA, _ := v.Column("A")
-	labels2, _, err := labelsFromCounts(v, []string{"A"}, [][]int{make([]int, colA.Cardinality())}, 0, LabelOptions{})
+	labels2, _, err := labelsFromCounts(v, []string{"A"}, [][]int{make([]int, colA.Cardinality())}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,25 +246,26 @@ func TestSingleRowPivotValue(t *testing.T) {
 
 func TestGroupValuesAllTiedFrequencies(t *testing.T) {
 	// Exactly tied counts all fall inside any tolerance window: one
-	// bracket, alphabetical, capped at MaxValues.
-	got := groupsOf(t, map[string]int{"d": 20, "b": 20, "a": 20, "c": 20}, LabelOptions{MaxValues: 3, MinSupport: 0.01})
-	want := [][]string{{"a", "b", "c"}}
+	// bracket, alphabetical, capped at labelMaxValues.
+	got := groupsOf(t, map[string]int{"e": 20, "d": 20, "b": 20, "a": 20, "c": 20})
+	want := [][]string{{"a", "b", "c", "d"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("groups = %v, want %v", got, want)
 	}
 	// And the bracketed rendering survives to the display string.
-	l := Label{Attr: "A", Groups: []LabelGroup{{Values: []string{"a", "b", "c"}, Count: 20}}}
-	if s := l.String(); s != "[a, b, c]" {
+	l := Label{Attr: "A", Groups: []LabelGroup{{Values: want[0], Count: 20}}}
+	if s := l.String(); s != "[a, b, c, d]" {
 		t.Errorf("rendered label = %q", s)
 	}
 }
 
 func TestGroupValuesMaxValuesTruncation(t *testing.T) {
-	// Six distinct counts, display budget 4: values rank by count and the
-	// tail is cut mid-bracket if needed.
-	counts := map[string]int{"a": 60, "b": 50, "c": 40, "d": 30, "e": 20, "f": 10}
-	got := groupsOf(t, counts, LabelOptions{MaxValues: 4, MaxGroups: 6, GroupTolerance: 0.01, MinSupport: 0.001})
-	want := [][]string{{"a"}, {"b"}, {"c"}, {"d"}}
+	// Five values in two brackets, display budget 4: values rank by count
+	// and the tail is cut mid-bracket (e is within 20% of d, so it would
+	// share d's bracket).
+	counts := map[string]int{"a": 50, "b": 48, "c": 46, "d": 39, "e": 38}
+	got := groupsOf(t, counts)
+	want := [][]string{{"a", "b", "c"}, {"d"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("groups = %v, want %v", got, want)
 	}

@@ -7,15 +7,15 @@ import (
 
 	"dbexplorer/internal/dataset"
 	"dbexplorer/internal/dataview"
+	"dbexplorer/internal/featsel"
 )
 
 // The row-scan reference build: the row-at-a-time semantics the
 // production (posting-bitmap) build in builder.go must reproduce bit for
 // bit. It partitions the result set by a per-row pivot code loop, ranks
-// Compare Attributes with cfg.Ranker over a row set (with the default
-// config that is featsel.ChiSquareContext, the row-scan contingency
-// fill), samples with the row-slice sampler, and then runs the shared
-// buildPivotRow per pivot value. Only tests use it.
+// Compare Attributes with featsel.ChiSquareContext over a row set (the
+// row-scan contingency fill), samples with the row-slice sampler, and
+// then runs the shared buildPivotRow per pivot value. Only tests use it.
 
 // scanBuild builds the CAD View of cfg over rows the row-scan way.
 func scanBuild(ctx context.Context, v *dataview.View, rows dataset.RowSet, cfg Config) (*CADView, error) {
@@ -127,7 +127,7 @@ func selectCompareAttrs(ctx context.Context, v *dataview.View, rowsV dataset.Row
 	if cfg.FeatureSampleSize > 0 && cfg.FeatureSampleSize < len(rankRows) {
 		rankRows = sampleRows(rankRows, cfg.FeatureSampleSize, cfg.Seed)
 	}
-	scores, err := cfg.Ranker(ctx, v, rankRows, cfg.Pivot, candidates)
+	scores, err := featsel.ChiSquareContext(ctx, v, rankRows, cfg.Pivot, candidates)
 	if err != nil {
 		return nil, err
 	}

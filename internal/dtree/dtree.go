@@ -51,26 +51,22 @@ type Tree struct {
 type Options struct {
 	// MaxDepth bounds the number of splits on any path (default 4).
 	MaxDepth int
-	// MinLeaf is the minimum rows a child must receive for a split to
-	// be considered (default 10).
-	MinLeaf int
-	// MinGain is the minimum information gain (nats) to split
-	// (default 1e-3).
-	MinGain float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxDepth <= 0 {
 		o.MaxDepth = 4
 	}
-	if o.MinLeaf <= 0 {
-		o.MinLeaf = 10
-	}
-	if o.MinGain <= 0 {
-		o.MinGain = 1e-3
-	}
 	return o
 }
+
+// Split thresholds: every child of a split must receive at least
+// minLeaf rows, and the split must gain at least minGain nats of
+// information.
+const (
+	minLeaf = 10
+	minGain = 1e-3
+)
 
 // Build fits a tree predicting classAttr from the candidate attributes
 // over rows.
@@ -112,12 +108,12 @@ func (t *Tree) grow(rows dataset.RowSet, candidates []string, opt Options, depth
 	}
 	node.Label = t.majority(node.ClassCounts)
 
-	if depth >= opt.MaxDepth || len(rows) < 2*opt.MinLeaf || pure(node.ClassCounts) {
+	if depth >= opt.MaxDepth || len(rows) < 2*minLeaf || pure(node.ClassCounts) {
 		return node
 	}
 	baseH := entropy(node.ClassCounts, len(rows))
 	bestAttr := ""
-	bestGain := opt.MinGain
+	bestGain := minGain
 	var bestParts map[int]dataset.RowSet
 	for _, a := range candidates {
 		col := t.cols[a]
@@ -134,7 +130,7 @@ func (t *Tree) grow(rows dataset.RowSet, candidates []string, opt Options, depth
 		ok := true
 		var cond float64
 		for _, part := range parts {
-			if len(part) < opt.MinLeaf {
+			if len(part) < minLeaf {
 				ok = false
 				break
 			}

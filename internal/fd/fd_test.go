@@ -1,8 +1,8 @@
 package fd
 
 import (
+	"fmt"
 	"math"
-
 	"testing"
 
 	"dbexplorer/internal/datagen"
@@ -66,7 +66,7 @@ func TestG3Errors(t *testing.T) {
 
 func TestDiscoverFindsModelMake(t *testing.T) {
 	v, rows := carsView(t, 4000)
-	deps, err := Discover(v, rows, []string{"Make", "Model", "BodyType", "Color"}, Options{})
+	deps, err := Discover(v, rows, []string{"Make", "Model", "BodyType", "Color"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,44 +98,71 @@ func TestDiscoverFindsModelMake(t *testing.T) {
 
 func TestDiscoverApproximate(t *testing.T) {
 	v, rows := carsView(t, 4000)
-	// Model determines BodyType exactly, and nearly determines Engine
-	// (some model lines offer two engines). With a generous threshold
-	// Model -> Engine should appear as approximate.
-	deps, err := Discover(v, rows, []string{"Model", "Engine", "BodyType"}, Options{MaxError: 0.35})
+	// Model determines BodyType exactly by construction.
+	deps, err := Discover(v, rows, []string{"Model", "Engine", "BodyType"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bodyExact, engineApprox bool
+	bodyExact := false
 	for _, d := range deps {
 		if d.Determinant == "Model" && d.Dependent == "BodyType" && d.Exact() {
 			bodyExact = true
-		}
-		if d.Determinant == "Model" && d.Dependent == "Engine" {
-			engineApprox = true
-			if d.Exact() {
-				t.Log("Model -> Engine came out exact (acceptable if sampled models are single-engine)")
-			}
-			if got := d.String(); d.Error > 0 && got == "Model -> Engine" {
-				t.Errorf("approximate dependency renders without g3: %q", got)
-			}
 		}
 	}
 	if !bodyExact {
 		t.Errorf("Model -> BodyType not exact: %v", deps)
 	}
-	if !engineApprox {
-		t.Errorf("Model -> Engine not reported at 0.35: %v", deps)
+	// X -> Y with bad violating rows out of 200 has g3 = bad/200: reported
+	// with its g3 at 0.03, dropped at 0.06, either side of MaxError.
+	for _, tc := range []struct {
+		bad  int
+		want bool
+	}{{6, true}, {12, false}} {
+		var got *Dependency
+		deps, err := Discover(approxView(t, tc.bad), dataset.AllRows(200), []string{"X", "Y"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range deps {
+			if d.Determinant == "X" && d.Dependent == "Y" {
+				got = &deps[i]
+			}
+		}
+		if (got != nil) != tc.want {
+			t.Fatalf("bad=%d: X -> Y reported = %v, want %v (%v)", tc.bad, got != nil, tc.want, deps)
+		}
+		if got == nil {
+			continue
+		}
+		if want := float64(tc.bad) / 200; math.Abs(got.Error-want) > 1e-12 {
+			t.Errorf("bad=%d: g3 = %v, want %v", tc.bad, got.Error, want)
+		}
+		if s := got.String(); s != "X -> Y (g3=0.0300)" {
+			t.Errorf("approximate dependency renders as %q", s)
+		}
 	}
-	// Exact-only mode drops the approximate ones.
-	exact, err := Discover(v, rows, []string{"Model", "Engine", "BodyType"}, Options{Exact: true, MaxError: 0.35})
+}
+
+// approxView builds 200 rows where Y is a function of X's ten values,
+// except that the first bad rows carry another X value's Y.
+func approxView(t *testing.T, bad int) *dataview.View {
+	t.Helper()
+	tbl := dataset.NewTable("t", dataset.Schema{
+		{Name: "X", Kind: dataset.Categorical, Queriable: true},
+		{Name: "Y", Kind: dataset.Categorical, Queriable: true},
+	})
+	for i := 0; i < 200; i++ {
+		y := i % 10
+		if i < bad {
+			y = (y + 1) % 10
+		}
+		tbl.MustAppendRow(fmt.Sprint("x", i%10), fmt.Sprint("y", y))
+	}
+	v, err := dataview.New(tbl, dataview.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range exact {
-		if !d.Exact() {
-			t.Errorf("non-exact dependency in exact mode: %v", d)
-		}
-	}
+	return v
 }
 
 func TestDiscoverSkipsDegenerates(t *testing.T) {
@@ -156,7 +183,7 @@ func TestDiscoverSkipsDegenerates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deps, err := Discover(v, dataset.AllRows(100), []string{"Const", "Key", "A", "B"}, Options{})
+	deps, err := Discover(v, dataset.AllRows(100), []string{"Const", "Key", "A", "B"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,20 +214,20 @@ func key(i int) string { return string(rune('a'+i/26)) + string(rune('a'+i%26)) 
 
 func TestDiscoverErrors(t *testing.T) {
 	v, rows := carsView(t, 100)
-	if _, err := Discover(v, rows, []string{"Make"}, Options{}); err == nil {
+	if _, err := Discover(v, rows, []string{"Make"}); err == nil {
 		t.Error("one attribute: want error")
 	}
-	if _, err := Discover(v, nil, []string{"Make", "Model"}, Options{}); err == nil {
+	if _, err := Discover(v, nil, []string{"Make", "Model"}); err == nil {
 		t.Error("no rows: want error")
 	}
-	if _, err := Discover(v, rows, []string{"Make", "Nope"}, Options{}); err == nil {
+	if _, err := Discover(v, rows, []string{"Make", "Nope"}); err == nil {
 		t.Error("unknown attribute: want error")
 	}
 }
 
 func TestCorrelations(t *testing.T) {
 	v, rows := carsView(t, 4000)
-	corrs, err := Correlations(v, rows, []string{"Make", "Model", "Engine", "FuelEconomy", "Color"}, 0, 0)
+	corrs, err := Correlations(v, rows, []string{"Make", "Model", "Engine", "FuelEconomy", "Color"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,13 +267,13 @@ func TestCorrelations(t *testing.T) {
 
 func TestCorrelationsErrors(t *testing.T) {
 	v, rows := carsView(t, 100)
-	if _, err := Correlations(v, rows, []string{"Make"}, 0, 0); err == nil {
+	if _, err := Correlations(v, rows, []string{"Make"}); err == nil {
 		t.Error("one attribute: want error")
 	}
-	if _, err := Correlations(v, nil, []string{"Make", "Model"}, 0, 0); err == nil {
+	if _, err := Correlations(v, nil, []string{"Make", "Model"}); err == nil {
 		t.Error("no rows: want error")
 	}
-	if _, err := Correlations(v, rows, []string{"Make", "Nope"}, 0, 0); err == nil {
+	if _, err := Correlations(v, rows, []string{"Make", "Nope"}); err == nil {
 		t.Error("unknown attribute: want error")
 	}
 }
@@ -282,10 +309,10 @@ func nanCarsView(t *testing.T, n int) (*dataview.View, dataset.RowSet) {
 func TestDiscoverSkipsNaNCells(t *testing.T) {
 	v, rows := nanCarsView(t, 1000)
 	attrs := []string{"Make", "Model", "Price", "Year"}
-	if _, err := Discover(v, rows, attrs, Options{}); err != nil {
+	if _, err := Discover(v, rows, attrs); err != nil {
 		t.Fatalf("Discover over NaN cells: %v", err)
 	}
-	if _, err := Correlations(v, rows, attrs, 0, 0); err != nil {
+	if _, err := Correlations(v, rows, attrs); err != nil {
 		t.Fatalf("Correlations over NaN cells: %v", err)
 	}
 	// g3 must match the same dependency computed without the NaN rows.

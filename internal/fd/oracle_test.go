@@ -59,12 +59,11 @@ func oracleLiveCard(v *dataview.View, rows dataset.RowSet, attr string) int {
 	return len(seen)
 }
 
-func oracleDiscover(v *dataview.View, rows dataset.RowSet, attrs []string, opt Options) []Dependency {
-	opt = opt.withDefaults()
+func oracleDiscover(v *dataview.View, rows dataset.RowSet, attrs []string) []Dependency {
 	var out []Dependency
 	for _, x := range attrs {
 		lx := oracleLiveCard(v, rows, x)
-		if lx < opt.MinDeterminantCard || float64(lx) > opt.MaxDeterminantFraction*float64(len(rows)) {
+		if lx < 2 || float64(lx) > 0.5*float64(len(rows)) {
 			continue
 		}
 		for _, y := range attrs {
@@ -72,7 +71,7 @@ func oracleDiscover(v *dataview.View, rows dataset.RowSet, attrs []string, opt O
 				continue
 			}
 			g3 := oracleG3(v, rows, x, y)
-			if (opt.Exact && g3 != 0) || g3 > opt.MaxError {
+			if g3 > 0.05 {
 				continue
 			}
 			out = append(out, Dependency{Determinant: x, Dependent: y, Error: g3})
@@ -172,18 +171,16 @@ func randomSubset(rng *rand.Rand, n int, p float64) dataset.RowSet {
 	return rows
 }
 
-// checkAgainstOracle compares Discover (at two thresholds), G3 over
-// every ordered pair, and Correlations with the oracle, bit for bit.
+// checkAgainstOracle compares Discover, G3 over every ordered pair, and
+// Correlations with the oracle, bit for bit.
 func checkAgainstOracle(t *testing.T, v *dataview.View, rows dataset.RowSet, attrs []string) {
 	t.Helper()
-	for _, opt := range []Options{{}, {MaxError: 0.6}, {Exact: true}} {
-		got, err := Discover(v, rows, attrs, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := oracleDiscover(v, rows, attrs, opt); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Discover(%+v) over %d rows:\n got %v\nwant %v", opt, len(rows), got, want)
-		}
+	got, err := Discover(v, rows, attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := oracleDiscover(v, rows, attrs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Discover over %d rows:\n got %v\nwant %v", len(rows), got, want)
 	}
 	for _, x := range attrs {
 		for _, y := range attrs {
@@ -207,10 +204,10 @@ func checkAgainstOracle(t *testing.T, v *dataview.View, rows dataset.RowSet, att
 			live = append(live, a)
 		}
 	}
-	got, gotErr := Correlations(v, rows, live, 0, 0)
-	want, wantErr := oracleCorrelations(v, rows, live)
-	if (gotErr != nil) != (wantErr != nil) || !reflect.DeepEqual(got, want) {
-		t.Fatalf("Correlations over %d rows:\n got %v (%v)\nwant %v (%v)", len(rows), got, gotErr, want, wantErr)
+	corrs, gotErr := Correlations(v, rows, live)
+	wantCorrs, wantErr := oracleCorrelations(v, rows, live)
+	if (gotErr != nil) != (wantErr != nil) || !reflect.DeepEqual(corrs, wantCorrs) {
+		t.Fatalf("Correlations over %d rows:\n got %v (%v)\nwant %v (%v)", len(rows), corrs, gotErr, wantCorrs, wantErr)
 	}
 }
 

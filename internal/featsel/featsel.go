@@ -32,12 +32,6 @@ type Score struct {
 	PValue float64
 }
 
-// Ranker orders candidate attributes by relevance to a class attribute
-// over a row subset. Rankers are context-aware: long contingency sweeps
-// are expected to honor ctx cancellation (ChiSquareContext and
-// MutualInformationContext are the canonical implementations).
-type Ranker func(ctx context.Context, v *dataview.View, rows dataset.RowSet, classAttr string, candidates []string) ([]Score, error)
-
 // classCodes extracts the class code of each row, remapped densely so
 // only classes present in rows occupy contingency-table columns.
 func classCodes(v *dataview.View, rows dataset.RowSet, classAttr string) ([]int, int, error) {
@@ -514,11 +508,13 @@ type ReliefFOptions struct {
 	// Samples is the number of instances m to sample (default: all rows,
 	// capped at 500).
 	Samples int
-	// Neighbors is k, the nearest hits/misses per class (default 5).
-	Neighbors int
 	// Seed drives instance sampling.
 	Seed int64
 }
+
+// reliefNeighbors is ReliefF's k, the nearest hits and misses kept per
+// class.
+const reliefNeighbors = 5
 
 // ReliefF ranks candidates with the multi-class ReliefF weight
 // (Kononenko 1994) using Hamming distance over the coded attributes.
@@ -531,9 +527,6 @@ func ReliefF(v *dataview.View, rows dataset.RowSet, classAttr string, candidates
 	}
 	if len(rows) < 2 {
 		return nil, fmt.Errorf("featsel: ReliefF needs at least 2 rows, got %d", len(rows))
-	}
-	if opt.Neighbors <= 0 {
-		opt.Neighbors = 5
 	}
 	if opt.Samples <= 0 {
 		opt.Samples = len(rows)
@@ -613,8 +606,8 @@ func ReliefF(v *dataview.View, rows dataset.RowSet, classAttr string, candidates
 		for c := range byClass {
 			ns := byClass[c]
 			sort.Slice(ns, func(a, b int) bool { return ns[a].d < ns[b].d })
-			if len(ns) > opt.Neighbors {
-				byClass[c] = ns[:opt.Neighbors]
+			if len(ns) > reliefNeighbors {
+				byClass[c] = ns[:reliefNeighbors]
 			}
 		}
 		for a := range cols {

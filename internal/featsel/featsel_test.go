@@ -119,7 +119,7 @@ func TestMutualInformationRanking(t *testing.T) {
 
 func TestReliefFRanking(t *testing.T) {
 	v, rows := syntheticView(t, 300, 4)
-	scores, err := ReliefF(v, rows, "Class", allCandidates, ReliefFOptions{Samples: 150, Neighbors: 5, Seed: 9})
+	scores, err := ReliefF(v, rows, "Class", allCandidates, ReliefFOptions{Samples: 150, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,8 @@ func TestReliefFRanking(t *testing.T) {
 func TestRankerErrors(t *testing.T) {
 	v, rows := syntheticView(t, 50, 5)
 	ctx := context.Background()
-	for name, r := range map[string]Ranker{
+	type ranker func(context.Context, *dataview.View, dataset.RowSet, string, []string) ([]Score, error)
+	for name, r := range map[string]ranker{
 		"ChiSquare":         ChiSquareContext,
 		"MutualInformation": MutualInformationContext,
 	} {

@@ -142,27 +142,6 @@ func Morsels(n, size int, fn func(lo, hi int)) {
 // index); results must be written to per-index slots by fn. If fn
 // panics, a panicking worker stops pulling indices and the first panic
 // is re-raised on the caller's goroutine after all workers finish.
-// DoErr runs fn(0) … fn(n-1) like Do and returns the lowest-index
-// non-nil error once every call has settled. All indices always run —
-// an error (or a context cancellation surfaced as one) does not stop
-// the remaining workers, so callers can rely on every per-index slot
-// being written before DoErr returns; the lowest-index pick makes the
-// returned error independent of goroutine scheduling. Panics propagate
-// exactly as in Do: first panic re-raised after all workers finish.
-func DoErr(n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	errs := make([]error, n)
-	Do(n, func(i int) { errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func Do(n int, fn func(i int)) {
 	if n <= 0 {
 		return

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -92,45 +91,4 @@ func TestForChunksPropagatesWorkerPanic(t *testing.T) {
 		}
 	})
 	t.Fatal("ForChunks returned normally despite a panicking worker")
-}
-
-func TestDoErrRunsAllAndReturnsLowestIndexError(t *testing.T) {
-	// Errors must not short-circuit: every index runs to completion, and
-	// the lowest-index error wins so callers get a deterministic one
-	// regardless of scheduling.
-	var ran int32
-	err := DoErr(16, func(i int) error {
-		atomic.AddInt32(&ran, 1)
-		if i == 11 || i == 3 {
-			return fmt.Errorf("fail-%d", i)
-		}
-		return nil
-	})
-	if ran != 16 {
-		t.Fatalf("ran %d of 16 indices", ran)
-	}
-	if err == nil || err.Error() != "fail-3" {
-		t.Fatalf("err = %v, want fail-3", err)
-	}
-	if err := DoErr(8, func(int) error { return nil }); err != nil {
-		t.Fatalf("all-success err = %v", err)
-	}
-	if err := DoErr(0, func(int) error { return fmt.Errorf("never") }); err != nil {
-		t.Fatalf("n=0 err = %v", err)
-	}
-}
-
-func TestDoErrPropagatesWorkerPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("worker panic was swallowed")
-		}
-	}()
-	DoErr(32, func(i int) error {
-		if i == 5 {
-			panic("boom-5")
-		}
-		return nil
-	})
-	t.Fatal("DoErr returned normally despite a panicking worker")
 }

@@ -42,9 +42,9 @@ const (
 	DefaultMaxValues = 10  // per-attribute value suggestions in drill-down
 )
 
-// fdMaxError is the g3 threshold for mining and for treating a
-// dependency as "determining" during ranking.
-const fdMaxError = 0.05
+// fdMaxError is the g3 threshold for treating a dependency as
+// "determining" during ranking: fd's own reporting threshold.
+const fdMaxError = fd.MaxError
 
 // Model holds the per-dataset statistical context mined from the full
 // table: approximate functional dependencies and a Chow-Liu tree Bayes
@@ -87,7 +87,7 @@ func BuildModel(ctx context.Context, v *dataview.View) (*Model, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	deps := fd.DiscoverPairs(pc, fd.Options{MaxError: fdMaxError})
+	deps := fd.DiscoverPairs(pc)
 	net, err := bayesnet.LearnPairs(pc, bayesnet.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("suggest: Bayes net: %w", err)

@@ -1,8 +1,8 @@
 // Top-level segment-boundary equivalence: tables whose row counts land
 // on every awkward segment shape — well inside one segment, one row past
 // a segment edge, and an exact multiple of the segment size — must
-// produce CAD Views whose bitmap-ranked build matches the row-set-ranked
-// one bit for bit and whose pivot rows match a row loop, facet digests
+// produce CAD Views whose bitmap chi-square scores match the row scan's
+// bit for bit and whose pivot rows match a row loop, facet digests
 // that match independent row scans, and compiled predicate plans that
 // select the same rows cold (no postings yet) and warm.
 package dbexplorer_test
@@ -65,14 +65,13 @@ func interpretRows(t *dataset.Table, rows dataset.RowSet, e expr.Expr) (dataset.
 	return out, nil
 }
 
-// checkBoundaryCADView builds the boundary CAD View over rows twice —
-// with the default ranker, which ranks Compare Attributes from
-// posting-bitmap contingency tables, and with the row-set chi-square
-// ranker, whose tables come from a row scan — and requires the two to be
-// structurally equal and render identically. BuildBitmap over a facet
-// session on the same rows must give the same CAD View. The pivot rows
-// must carry the values and counts of a plain row loop (count
-// descending, value ascending). It returns the default build.
+// checkBoundaryCADView builds the boundary CAD View over rows and
+// requires the chi-square scores the build ranks Compare Attributes by,
+// which come from posting-bitmap contingency tables, to equal the
+// row-scan ranker's over the same rows, score for score. BuildBitmap over
+// a facet session on the same rows must give the same CAD View. The
+// pivot rows must carry the values and counts of a plain row loop (count
+// descending, value ascending). It returns the build.
 func checkBoundaryCADView(t *testing.T, v *dataview.View, rows dataset.RowSet) *core.CADView {
 	t.Helper()
 	cfg := core.Config{Pivot: "c0", MaxCompare: 2, K: 2, L: 3, Seed: 1}
@@ -87,17 +86,22 @@ func checkBoundaryCADView(t *testing.T, v *dataview.View, rows dataset.RowSet) *
 	if !reflect.DeepEqual(fromSession, got) {
 		t.Error("BuildBitmap over a facet session differs from BuildContext over the same rows")
 	}
-	scan := cfg
-	scan.Ranker = featsel.ChiSquareContext
-	want, _, err := core.Build(v, rows, scan)
+	var candidates []string
+	for _, col := range v.Columns() {
+		if col.Attr != cfg.Pivot {
+			candidates = append(candidates, col.Attr)
+		}
+	}
+	scan, err := featsel.ChiSquareContext(context.Background(), v, rows, cfg.Pivot, candidates)
 	if err != nil {
-		t.Fatalf("row-set ranker build: %v", err)
+		t.Fatalf("row-scan ranking: %v", err)
 	}
-	if core.Render(want, nil) != core.Render(got, nil) {
-		t.Error("rendered CAD View differs from the row-set ranker build")
+	bitmap, err := featsel.ChiSquareBitmapContext(context.Background(), v, rows.Bitmap(v.Rows()), cfg.Pivot, candidates)
+	if err != nil {
+		t.Fatalf("bitmap ranking: %v", err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Error("CAD View structure differs from the row-set ranker build")
+	if !reflect.DeepEqual(bitmap, scan) {
+		t.Errorf("bitmap scores %v, row-scan scores %v", bitmap, scan)
 	}
 	pivotCol, err := v.Column(cfg.Pivot)
 	if err != nil {
@@ -172,7 +176,7 @@ func warmTableIndex(tbl *dataset.Table) *dataset.Index {
 // table built with all rows from the start: identical compiled-predicate
 // row sets, facet digests (both the posting-bitmap session path and the
 // row-scan path), and rendered plus structural CAD Views (each also
-// checked against its row-set-ranked build and a pivot row loop).
+// checked against the row-scan chi-square scores and a pivot row loop).
 func TestAppendBoundaryEquivalence(t *testing.T) {
 	for _, shape := range appendBoundaryShapes {
 		n0, n1 := shape[0], shape[1]
@@ -346,8 +350,8 @@ func TestSegmentBoundaryEquivalence(t *testing.T) {
 				t.Fatalf("score facet bins = %v, want %v", gotBins, wantBins)
 			}
 
-			// CAD Views on every boundary shape: bitmap-ranked ==
-			// row-set-ranked, pivot rows == a row loop.
+			// CAD Views on every boundary shape: bitmap chi-square scores
+			// == row-scan scores, pivot rows == a row loop.
 			checkBoundaryCADView(t, v, rows)
 		})
 	}
