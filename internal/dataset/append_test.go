@@ -104,6 +104,48 @@ func TestAppendBatchValidatesWholeBatch(t *testing.T) {
 	}
 }
 
+// TestAppendRowRejectsInfinity pins that ±Inf is no numeric value: the
+// append fails naming the column, and the table is untouched. NaN still
+// lands as the missing value.
+func TestAppendRowRejectsInfinity(t *testing.T) {
+	tbl := NewTable("inf", Schema{
+		{Name: "cat", Kind: Categorical, Queriable: true},
+		{Name: "num", Kind: Numeric, Queriable: true},
+	})
+	tbl.MustAppendRow("a", 1.0)
+	epoch := tbl.Epoch()
+	for _, x := range []float64{math.Inf(1), math.Inf(-1)} {
+		err := tbl.AppendRow("b", x)
+		if err == nil || !strings.Contains(err.Error(), `"num"`) {
+			t.Fatalf("AppendRow(%v): err = %v, want one naming column \"num\"", x, err)
+		}
+		if tbl.NumRows() != 1 || tbl.Epoch() != epoch {
+			t.Fatalf("AppendRow(%v) mutated the table: rows=%d epoch=%d", x, tbl.NumRows(), tbl.Epoch())
+		}
+	}
+	if err := tbl.AppendRow("b", math.NaN()); err != nil {
+		t.Fatalf("AppendRow(NaN): %v", err)
+	}
+}
+
+// TestAppendBatchRejectsInfinity: one infinite cell rejects the whole
+// batch, naming its row and column.
+func TestAppendBatchRejectsInfinity(t *testing.T) {
+	tbl := NewTable("inf", Schema{
+		{Name: "cat", Kind: Categorical, Queriable: true},
+		{Name: "num", Kind: Numeric, Queriable: true},
+	})
+	tbl.MustAppendRow("a", 1.0)
+	epoch := tbl.Epoch()
+	err := tbl.AppendBatch([][]any{{"b", 2.0}, {"c", math.NaN()}, {"d", math.Inf(-1)}})
+	if err == nil || !strings.Contains(err.Error(), "row 2") || !strings.Contains(err.Error(), `"num"`) {
+		t.Fatalf("AppendBatch: err = %v, want one naming row 2 and column \"num\"", err)
+	}
+	if tbl.NumRows() != 1 || tbl.Epoch() != epoch {
+		t.Fatalf("failed batch mutated the table: rows=%d epoch=%d", tbl.NumRows(), tbl.Epoch())
+	}
+}
+
 // boundaryAppendRows generates deterministic rows with the prefix
 // property (rows[:k] identical for every total), in the same shapes as
 // boundaryTable: a skewed categorical, a run-structured categorical,

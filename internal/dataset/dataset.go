@@ -14,6 +14,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -435,6 +436,9 @@ func (t *Table) checkRow(vals []any) ([]float64, error) {
 		case Numeric:
 			switch x := v.(type) {
 			case float64:
+				if math.IsInf(x, 0) {
+					return nil, fmt.Errorf("dataset: column %q got %v; numbers must be finite (NaN means missing)", a.Name, x)
+				}
 				nums[i] = x
 			case int:
 				nums[i] = float64(x)

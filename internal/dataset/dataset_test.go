@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -213,6 +214,23 @@ func TestReadCSVErrors(t *testing.T) {
 	// Ragged rows are rejected.
 	if _, err := ReadCSV("t", strings.NewReader("a,b\n1\n")); err == nil {
 		t.Error("ragged csv: want error")
+	}
+}
+
+func TestReadCSVRejectsInfinity(t *testing.T) {
+	for _, in := range []string{"kind,age\ncat,1\ndog,Inf\n", "kind,age\ncat,-Inf\ndog,2\n"} {
+		_, err := ReadCSV("t", strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), `"age"`) {
+			t.Errorf("ReadCSV(%q): err = %v, want one naming column \"age\"", in, err)
+		}
+	}
+	// NaN still reads as the missing value.
+	tbl, err := ReadCSV("t", strings.NewReader("kind,age\ncat,NaN\ndog,2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if age, _ := tbl.NumByName("age"); !math.IsNaN(age.Value(0)) {
+		t.Errorf("age[0] = %v, want NaN", age.Value(0))
 	}
 }
 

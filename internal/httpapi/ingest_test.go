@@ -163,6 +163,33 @@ func TestIngestCSV(t *testing.T) {
 	}
 }
 
+// TestIngestCSVRejectsInfinity: "Inf" parses as a float but is no
+// numeric value. A batch carrying one is a 400 naming the column, and the
+// table keeps its rows and epoch.
+func TestIngestCSVRejectsInfinity(t *testing.T) {
+	_, e, srv := newIngestServer(t, 50)
+	tbl := e.snapshot().Table()
+	epoch := tbl.Epoch()
+	res, err := http.Post(srv.URL+"/api/v1/pets/ingest", "text/csv",
+		strings.NewReader("kind,city,age\ncat,SF,Inf\ndog,NY,-Inf\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var out struct {
+		Error struct{ Code, Message string }
+	}
+	if err := json.NewDecoder(res.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if res.StatusCode != http.StatusBadRequest || !strings.Contains(out.Error.Message, `"age"`) {
+		t.Fatalf("status %d, error %+v; want 400 naming column \"age\"", res.StatusCode, out.Error)
+	}
+	if tbl.NumRows() != 50 || tbl.Epoch() != epoch {
+		t.Fatalf("rejected ingest mutated the table: rows=%d epoch=%d", tbl.NumRows(), tbl.Epoch())
+	}
+}
+
 func TestIngestValidation(t *testing.T) {
 	_, e, srv := newIngestServer(t, 30, WithMaxIngestBatch(2))
 	v := e.snapshot()
