@@ -545,10 +545,18 @@ func canonicalFilters(filters []Filter) []Filter {
 // buildSession builds a facet session over all rows of one view
 // snapshot with the request's filters applied. Callers pass the view
 // from datasetEntry.snapshot so the whole request runs on one snapshot
-// even if an ingest refresh swaps the entry's view mid-flight.
+// even if an ingest refresh swaps the entry's view mid-flight. Each
+// filter's attribute is resolved before its values, and a filter without
+// values is an error, as on /suggest.
 func buildSession(v *dataview.View, filters []Filter) (*facet.Session, error) {
 	sess := facet.NewSessionBitmap(v, dataset.FullBitmap(v.Rows()))
 	for _, f := range filters {
+		if _, err := v.Column(f.Attr); err != nil {
+			return nil, err
+		}
+		if len(f.Values) == 0 {
+			return nil, fmt.Errorf("selection on %q has no values", f.Attr)
+		}
 		for _, val := range f.Values {
 			if err := sess.Select(f.Attr, val); err != nil {
 				return nil, err

@@ -326,6 +326,53 @@ func TestCADHighlightReorderFlow(t *testing.T) {
 	}
 }
 
+// TestFilterValidationMatchesAcrossRoutes pins /query, /cad and
+// /suggest to one filter check: an unknown attribute, an empty value
+// list and a non-queriable attribute get the same status and error code
+// on every route, with or without values.
+func TestFilterValidationMatchesAcrossRoutes(t *testing.T) {
+	s, srv := newTestServer(t)
+	e, apiErr := s.dataset("UsedCars")
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	engine, err := e.snapshot().Column("Engine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		filter Filter
+		code   string
+	}{
+		{"unknown attribute, no values", Filter{Attr: "Nope", Values: []string{}}, CodeBadAttribute},
+		{"unknown attribute", Filter{Attr: "Nope", Values: []string{"x"}}, CodeBadAttribute},
+		{"empty value list", Filter{Attr: "BodyType", Values: []string{}}, CodeBadRequest},
+		{"non-queriable attribute, no values", Filter{Attr: "Engine", Values: []string{}}, CodeBadRequest},
+		{"non-queriable attribute", Filter{Attr: "Engine", Values: []string{engine.Label(0)}}, CodeBadRequest},
+	}
+	for _, c := range cases {
+		for _, route := range []struct {
+			path string
+			body map[string]any
+		}{
+			{"/api/v1/UsedCars/query", map[string]any{}},
+			{"/api/v1/UsedCars/cad", map[string]any{"pivot": "Make"}},
+			{"/api/v1/UsedCars/suggest", map[string]any{}},
+		} {
+			route.body["filters"] = []Filter{c.filter}
+			res, out := post(t, srv, route.path, route.body)
+			if res.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s on %s: status %d, want 400", c.name, route.path, res.StatusCode)
+				continue
+			}
+			if got := envelope(t, out); got.Code != c.code {
+				t.Errorf("%s on %s: code %q, want %q (%s)", c.name, route.path, got.Code, c.code, got.Message)
+			}
+		}
+	}
+}
+
 func TestBadRequestBodies(t *testing.T) {
 	srv := testServer(t)
 	for _, path := range []string{"/api/query", "/api/cad", "/api/v1/UsedCars/highlight", "/api/v1/UsedCars/reorder"} {
