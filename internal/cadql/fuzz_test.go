@@ -5,24 +5,27 @@ import (
 	"testing"
 )
 
+// parseSeeds are statements across the grammar plus broken fragments,
+// shared by the parser and recovery fuzz targets.
+var parseSeeds = []string{
+	"SELECT * FROM t",
+	"SELECT a, b FROM t WHERE x = 1 AND y BETWEEN 2 AND 3 ORDER BY a DESC LIMIT 5",
+	"CREATE CADVIEW v AS SET pivot = Make SELECT Price FROM cars LIMIT COLUMNS 5 IUNITS 3",
+	"HIGHLIGHT SIMILAR IUNITS IN v WHERE SIMILARITY(Chevrolet, 3) > 3.5",
+	"REORDER ROWS IN v ORDER BY SIMILARITY('Land Rover') DESC",
+	"SHOW TABLES",
+	"DESCRIBE t",
+	"DROP CADVIEW v",
+	"EXPLAIN CREATE CADVIEW v AS SET pivot = p SELECT FROM t",
+	"SELECT * FROM a, b WHERE Make IN (x, 'y z') OR NOT (q != 10K)",
+	"select * from t where a <> -1.5M;",
+	"'", "((", "SELECT", "= = =", "WHERE WHERE", "10K10K",
+}
+
 // FuzzParse asserts the parser never panics and that accepted statements
 // are well-formed enough to re-parse basic invariants.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"SELECT * FROM t",
-		"SELECT a, b FROM t WHERE x = 1 AND y BETWEEN 2 AND 3 ORDER BY a DESC LIMIT 5",
-		"CREATE CADVIEW v AS SET pivot = Make SELECT Price FROM cars LIMIT COLUMNS 5 IUNITS 3",
-		"HIGHLIGHT SIMILAR IUNITS IN v WHERE SIMILARITY(Chevrolet, 3) > 3.5",
-		"REORDER ROWS IN v ORDER BY SIMILARITY('Land Rover') DESC",
-		"SHOW TABLES",
-		"DESCRIBE t",
-		"DROP CADVIEW v",
-		"EXPLAIN CREATE CADVIEW v AS SET pivot = p SELECT FROM t",
-		"SELECT * FROM a, b WHERE Make IN (x, 'y z') OR NOT (q != 10K)",
-		"select * from t where a <> -1.5M;",
-		"'", "((", "SELECT", "= = =", "WHERE WHERE", "10K10K",
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
@@ -69,6 +72,24 @@ func FuzzLex(f *testing.F) {
 			if tok.kind == tokIdent && !strings.Contains(input, tok.text) {
 				t.Errorf("lex(%q): fabricated identifier %q", input, tok.text)
 			}
+		}
+	})
+}
+
+// FuzzRecover asserts recovery-mode parsing never panics, reports a
+// frontier inside the input, and returns exactly one of a statement and
+// an error.
+func FuzzRecover(f *testing.F) {
+	for _, s := range parseSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		rec := Recover(input)
+		if rec.Pos < 0 || rec.Pos > len(input) {
+			t.Errorf("Recover(%q).Pos = %d, outside [0, %d]", input, rec.Pos, len(input))
+		}
+		if (rec.Stmt == nil) == (rec.Err == nil) {
+			t.Errorf("Recover(%q): Stmt %v, Err %v; want exactly one", input, rec.Stmt, rec.Err)
 		}
 	})
 }
