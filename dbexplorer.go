@@ -179,7 +179,8 @@ func NewFacetSession(v *View, base RowSet) *FacetSession { return facet.NewSessi
 // NewTPFacet starts a TPFacet two-phased session.
 func NewTPFacet(v *View, base RowSet) *TPFacet { return facet.NewTPFacet(v, base) }
 
-// Summarize builds the faceted digest of a result set.
+// Summarize builds the faceted digest of a result set. rows are read
+// as a set: order and duplicates do not change the counts.
 func Summarize(v *View, rows RowSet, queriableOnly bool) *Digest {
 	return facet.Summarize(v, rows, queriableOnly)
 }

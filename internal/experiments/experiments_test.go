@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -56,7 +57,17 @@ func TestTable1Quick(t *testing.T) {
 	}
 }
 
+// TestStudyFiguresQuick runs the user-study figures in quick mode at
+// seed 1 and pins their reports byte for byte to
+// testdata/study_quick_seed1.txt. The simulated users read facet
+// digests (facet.Summarize), so a change in how values are counted
+// shows here as well as in the digest tests.
 func TestStudyFiguresQuick(t *testing.T) {
+	golden, err := os.ReadFile("testdata/study_quick_seed1.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
 	for _, id := range []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7"} {
 		e, _ := ByID(id)
 		out, err := e.Run(quick)
@@ -68,6 +79,10 @@ func TestStudyFiguresQuick(t *testing.T) {
 				t.Errorf("%s report missing %q:\n%s", id, want, out)
 			}
 		}
+		fmt.Fprintf(&got, "== %s\n%s", id, out)
+	}
+	if got.String() != string(golden) {
+		t.Errorf("study figures differ from testdata/study_quick_seed1.txt:\n%s", got.String())
 	}
 }
 

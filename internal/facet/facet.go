@@ -5,9 +5,12 @@
 package facet
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"dbexplorer/internal/core"
@@ -80,57 +83,49 @@ func (d *Digest) Count(attr, value string) int {
 	return 0
 }
 
-// Summarize builds the digest of rows over the view's attributes. When
-// queriableOnly is set, non-queriable attributes are omitted — this is
-// the paper's Limitation 2: the query panel hides them even though the
-// data contains them.
+// Summarize builds the digest of rows over the view's attributes. rows
+// are read as a set, packed as NewSession packs its base, so order and
+// duplicates do not matter. When queriableOnly is set, non-queriable
+// attributes are omitted — this is the paper's Limitation 2: the query
+// panel hides them even though the data contains them.
 func Summarize(v *dataview.View, rows dataset.RowSet, queriableOnly bool) *Digest {
+	return tallyDigest(columns(v, queriableOnly), packRows(v, rows))
+}
+
+// columns returns the view's columns in schema order, only the
+// queriable ones when queriableOnly is set.
+func columns(v *dataview.View, queriableOnly bool) []*dataview.Column {
 	schema := v.Table().Schema()
 	var cols []*dataview.Column
 	for _, col := range v.Columns() {
-		if queriableOnly && !schema[col.Col].Queriable {
-			continue
+		if !queriableOnly || schema[col.Col].Queriable {
+			cols = append(cols, col)
 		}
-		cols = append(cols, col)
 	}
+	return cols
+}
+
+// tallyDigest summarizes every column over rows, counted by dataview.Tally.
+func tallyDigest(cols []*dataview.Column, rows *dataset.Bitmap) *Digest {
+	counts := dataview.Tally(rows, cols)
 	summaries := make([]AttrSummary, len(cols))
-	parallel.Do(len(cols), func(i int) {
-		summaries[i] = scanColumn(cols[i], rows)
-	})
+	for i, col := range cols {
+		summaries[i] = summarize(col, counts[i])
+	}
 	return &Digest{Attrs: summaries}
 }
 
-// scanColumn tallies one column's value counts over a sorted row set,
-// walking it segment by segment with the segment's code slice hoisted
-// out of the inner loop. Counts are integers accumulating additively, so
-// the segmented sweep matches a per-row Code lookup exactly.
-func scanColumn(col *dataview.Column, rows dataset.RowSet) AttrSummary {
-	counts := make([]int, col.Cardinality())
-	segs := col.CodeSegs()
-	for i := 0; i < len(rows); {
-		s := rows[i] >> dataset.SegmentBits
-		seg := segs[s]
-		end := (s + 1) << dataset.SegmentBits
-		for i < len(rows) && rows[i] < end {
-			// Negative codes are NaN cells, which belong to no value —
-			// the posting-bitmap path never has them in any posting.
-			if c := seg[rows[i]&dataset.SegmentMask]; c >= 0 {
-				counts[c]++
-			}
-			i++
-		}
-	}
+// summarize lists the codes of col with a nonzero count in counts,
+// count descending, then value ascending.
+func summarize(col *dataview.Column, counts []int) AttrSummary {
 	summary := AttrSummary{Attr: col.Attr}
 	for code, c := range counts {
 		if c > 0 {
 			summary.Values = append(summary.Values, ValueCount{Value: col.Label(code), Count: c})
 		}
 	}
-	sort.Slice(summary.Values, func(i, j int) bool {
-		if summary.Values[i].Count != summary.Values[j].Count {
-			return summary.Values[i].Count > summary.Values[j].Count
-		}
-		return summary.Values[i].Value < summary.Values[j].Value
+	slices.SortFunc(summary.Values, func(a, b ValueCount) int {
+		return cmp.Or(b.Count-a.Count, strings.Compare(a.Value, b.Value))
 	})
 	return summary
 }
@@ -147,49 +142,26 @@ func scanColumn(col *dataview.Column, rows dataset.RowSet) AttrSummary {
 // skipped. d is not modified; attribute selection (queriable-only or
 // not) is inherited from d.
 func ExtendDigest(v *dataview.View, d *Digest, oldN, newN int) *Digest {
-	cols := make([]*dataview.Column, len(d.Attrs))
-	for i := range d.Attrs {
-		col, err := v.Column(d.Attrs[i].Attr)
-		if err != nil {
-			cols[i] = nil
-			continue
-		}
-		cols[i] = col
-	}
 	summaries := make([]AttrSummary, len(d.Attrs))
 	parallel.Do(len(d.Attrs), func(i int) {
 		old := &d.Attrs[i]
-		col := cols[i]
-		if col == nil || oldN >= newN {
+		col, err := v.Column(old.Attr)
+		if err != nil || oldN >= newN {
 			summaries[i] = AttrSummary{Attr: old.Attr, Values: append([]ValueCount(nil), old.Values...)}
 			return
 		}
-		card := col.Cardinality()
-		delta := make([]int, card)
-		for r := oldN; r < newN; r++ {
-			if code := col.Code(r); code >= 0 && code < card {
-				delta[code]++
-			}
-		}
-		counts := make([]int, card)
+		counts := make([]int, col.Cardinality())
 		for _, vc := range old.Values {
 			if code := col.CodeOf(vc.Value); code >= 0 {
 				counts[code] = vc.Count
 			}
 		}
-		summary := AttrSummary{Attr: old.Attr}
-		for code := 0; code < card; code++ {
-			if c := counts[code] + delta[code]; c > 0 {
-				summary.Values = append(summary.Values, ValueCount{Value: col.Label(code), Count: c})
+		for r := oldN; r < newN; r++ {
+			if code := col.Code(r); code >= 0 && code < len(counts) {
+				counts[code]++
 			}
 		}
-		sort.Slice(summary.Values, func(a, b int) bool {
-			if summary.Values[a].Count != summary.Values[b].Count {
-				return summary.Values[a].Count > summary.Values[b].Count
-			}
-			return summary.Values[a].Value < summary.Values[b].Value
-		})
-		summaries[i] = summary
+		summaries[i] = summarize(col, counts)
 	})
 	return &Digest{Attrs: summaries}
 }
@@ -272,14 +244,15 @@ type Session struct {
 
 	// Incremental state: the base set as a bitmap, one cached filter
 	// bitmap per selected attribute (the OR of that attribute's selected
-	// posting bitmaps), and the memoized current result bitmap. Adding or
-	// removing one facet selection invalidates only that attribute's
-	// bitmap, so refreshing the digest intersects cached words instead of
-	// re-evaluating the whole stack per row.
+	// posting bitmaps), and the memoized current result bitmap and its
+	// digest. Adding or removing one facet selection invalidates only that
+	// attribute's bitmap, so refreshing the digest intersects cached words
+	// instead of re-evaluating the whole stack per row.
 	universe int
 	baseBM   *dataset.Bitmap
 	attrBM   map[string]*dataset.Bitmap
 	rowsBM   *dataset.Bitmap // nil = stale
+	digest   *Digest         // Digest of rowsBM; nil = not yet counted
 }
 
 // NewSession starts a session over the given base result set, packed
@@ -287,15 +260,20 @@ type Session struct {
 // base must lie within that snapshot; like every row set the session
 // returns, it is read as a set, so order and duplicates do not matter.
 func NewSession(v *dataview.View, base dataset.RowSet) *Session {
+	return NewSessionBitmap(v, packRows(v, base))
+}
+
+// packRows packs a row set into a bitmap over the view's row snapshot.
+func packRows(v *dataview.View, rows dataset.RowSet) *dataset.Bitmap {
 	n := v.Rows()
-	if base.IsAllRows(n) {
+	if rows.IsAllRows(n) {
 		// Exactly {0..n-1}: skip the per-row packing. Length alone does
-		// not establish that (an unsorted or duplicated base of length n
+		// not establish that (an unsorted or duplicated set of length n
 		// would pack wrongly), so the check verifies element by element
 		// and exits at the first mismatch.
-		return NewSessionBitmap(v, dataset.FullBitmap(n))
+		return dataset.FullBitmap(n)
 	}
-	return NewSessionBitmap(v, dataset.FromRowSet(n, base))
+	return dataset.FromRowSet(n, rows)
 }
 
 // NewSessionBitmap starts a session over the base result set given as a
@@ -318,7 +296,7 @@ func NewSessionBitmap(v *dataview.View, base *dataset.Bitmap) *Session {
 // attr. Callers hold s.mu.
 func (s *Session) invalidate(attr string) {
 	delete(s.attrBM, attr)
-	s.rowsBM = nil
+	s.rowsBM, s.digest = nil, nil
 }
 
 // filterBitmap returns attr's cached filter bitmap (the union of its
@@ -392,6 +370,25 @@ func (s *Session) Select(attr, value string) error {
 	return nil
 }
 
+// SelectValues applies one request filter: attr must resolve and values
+// must not be empty, then each value is selected as by Select. /query,
+// /cad and /suggest all filter through it, so two filters on one
+// attribute are one filter (OR) on each.
+func (s *Session) SelectValues(attr string, values []string) error {
+	if _, err := s.view.Column(attr); err != nil {
+		return err
+	}
+	if len(values) == 0 {
+		return fmt.Errorf("facet: selection on %q has no values", attr)
+	}
+	for _, v := range values {
+		if err := s.Select(attr, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Deselect removes one value filter; removing the last value of an
 // attribute clears that attribute entirely.
 func (s *Session) Deselect(attr, value string) error {
@@ -446,7 +443,7 @@ func (s *Session) Reset() {
 	s.selected = make(map[string]map[int]bool)
 	s.order = nil
 	s.attrBM = make(map[string]*dataset.Bitmap)
-	s.rowsBM = nil
+	s.rowsBM, s.digest = nil, nil
 }
 
 // Selections returns the active filters as attribute -> selected value
@@ -496,93 +493,68 @@ func (s *Session) Page(offset, limit int) (dataset.RowSet, int) {
 func (s *Session) Count() int { return s.Bitmap().Len() }
 
 // Digest returns the queriable-attribute summary of the current result
-// set — the baseline interface's whole view of the data. Counting runs
-// per column in parallel as posting-bitmap intersections against the
-// memoized result bitmap, so refreshing the digest after one facet
-// click costs words, not rows.
-func (s *Session) Digest() *Digest { return s.digestOf(s.Bitmap(), true) }
-
-// digestOf builds the digest of the given result bitmap, counting each
-// code as |rows ∧ posting(code)|. Output is identical to Summarize over
-// the unpacked row set.
-func (s *Session) digestOf(rows *dataset.Bitmap, queriableOnly bool) *Digest {
-	schema := s.view.Table().Schema()
-	var cols []*dataview.Column
-	for _, col := range s.view.Columns() {
-		if queriableOnly && !schema[col.Col].Queriable {
-			continue
-		}
-		cols = append(cols, col)
-	}
-	summaries := make([]AttrSummary, len(cols))
-	parallel.Do(len(cols), func(i int) {
-		summaries[i] = summarizeColumn(cols[i], rows)
-	})
-	return &Digest{Attrs: summaries}
+// set — the baseline interface's whole view of the data, counted by
+// dataview.Tally. It is memoized with the result bitmap until the next
+// selection change and shared with later calls: callers must not modify
+// it.
+func (s *Session) Digest() *Digest {
+	s.mu.Lock()
+	rows, memo := s.currentBitmap(), s.digest
+	s.mu.Unlock()
+	return s.memoDigest(rows, memo)
 }
 
-// summarizeColumn counts one column's codes over the result bitmap via
-// fused intersect-popcounts with its posting sets and renders the sorted
-// value summary.
-func summarizeColumn(col *dataview.Column, rows *dataset.Bitmap) AttrSummary {
-	postings := col.Postings()
-	summary := AttrSummary{Attr: col.Attr}
-	for code, p := range postings {
-		if c := rows.AndLen(p); c > 0 {
-			summary.Values = append(summary.Values, ValueCount{Value: col.Label(code), Count: c})
-		}
+// memoDigest returns memo, read with rows, or else counts rows' digest
+// outside the lock and memoizes it if rows is still the result.
+func (s *Session) memoDigest(rows *dataset.Bitmap, memo *Digest) *Digest {
+	if memo != nil {
+		return memo
 	}
-	sort.Slice(summary.Values, func(i, j int) bool {
-		if summary.Values[i].Count != summary.Values[j].Count {
-			return summary.Values[i].Count > summary.Values[j].Count
-		}
-		return summary.Values[i].Value < summary.Values[j].Value
-	})
-	return summary
+	d := tallyDigest(columns(s.view, true), rows)
+	s.mu.Lock()
+	if s.rowsBM == rows {
+		s.digest = d
+	}
+	s.mu.Unlock()
+	return d
 }
 
 // PanelDigest returns the multi-select facet panel counts that
 // e-commerce interfaces (and Solr's tag/exclude faceting) display: for
 // each attribute, value counts are computed with that attribute's *own*
 // filters excluded, so a user who selected Make=Ford still sees how many
-// Jeeps would match their other filters. Attributes without filters get
-// the plain digest counts.
+// Jeeps would match their other filters. Only filtered attributes are
+// counted again; the rest are Digest's memo.
 func (s *Session) PanelDigest() *Digest {
-	schema := s.view.Table().Schema()
-	var cols []*dataview.Column
-	for _, col := range s.view.Columns() {
-		if !schema[col.Col].Queriable {
-			continue
-		}
-		cols = append(cols, col)
-	}
-	// Snapshot the base and every attribute's filter bitmap under the
-	// lock; the parallel counting below then works on immutable copies and
-	// never touches session state.
-	type filter struct {
-		attr string
-		bm   *dataset.Bitmap
-	}
+	// Snapshot the result, its digest memo and every attribute's filter
+	// bitmap under one lock; the counting below then works on immutable
+	// bitmaps and never touches session state.
 	s.mu.Lock()
-	base := s.baseBM
-	filters := make([]filter, 0, len(s.selected))
-	for attr := range s.selected {
-		filters = append(filters, filter{attr, s.filterBitmap(attr)})
+	rows, memo, base := s.currentBitmap(), s.digest, s.baseBM
+	attrs := append([]string(nil), s.order...)
+	filters := make([]*dataset.Bitmap, len(attrs))
+	for i, attr := range attrs {
+		filters[i] = s.filterBitmap(attr)
 	}
 	s.mu.Unlock()
-	summaries := make([]AttrSummary, len(cols))
-	parallel.Do(len(cols), func(i int) {
-		// base ∧ every attribute filter except this column's own — the
+	own := make([]AttrSummary, len(attrs))
+	parallel.Do(len(attrs), func(i int) {
+		// base ∧ every attribute filter except this attribute's own — the
 		// tag/exclude counting rule.
 		bm := base
-		for _, f := range filters {
-			if f.attr != cols[i].Attr {
-				bm = bm.And(f.bm)
+		for j, f := range filters {
+			if j != i {
+				bm = bm.And(f)
 			}
 		}
-		summaries[i] = summarizeColumn(cols[i], bm)
+		col, _ := s.view.Column(attrs[i])
+		own[i] = summarize(col, dataview.Tally(bm, []*dataview.Column{col})[0])
 	})
-	return &Digest{Attrs: summaries}
+	panel := &Digest{Attrs: append([]AttrSummary(nil), s.memoDigest(rows, memo).Attrs...)}
+	for _, a := range own {
+		*panel.Attr(a.Attr) = a
+	}
+	return panel
 }
 
 // TPFacet is the paper's two-phased faceted interface: the same filter

@@ -38,6 +38,7 @@ import (
 	"math"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -528,39 +529,38 @@ type Filter struct {
 	Values []string `json:"values"`
 }
 
-// canonicalFilters returns a copy of filters with attributes and values
-// sorted, so two requests selecting the same predicate in different
-// orders share one cache fingerprint.
+// canonicalFilters merges each attribute's entries into one with sorted,
+// deduplicated values, sorted by attribute, so every spelling of one
+// predicate shares one cache fingerprint. An entry without values stays
+// apart: the session rejects it, so it must not share a cached key.
 func canonicalFilters(filters []Filter) []Filter {
-	out := make([]Filter, len(filters))
-	for i, f := range filters {
-		vals := append([]string(nil), f.Values...)
-		sort.Strings(vals)
-		out[i] = Filter{Attr: f.Attr, Values: vals}
+	var out []Filter
+	merged := make(map[string][]string)
+	for _, f := range filters {
+		if len(f.Values) == 0 {
+			out = append(out, Filter{Attr: f.Attr})
+			continue
+		}
+		merged[f.Attr] = append(merged[f.Attr], f.Values...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Attr < out[j].Attr })
+	for attr, vals := range merged {
+		sort.Strings(vals)
+		out = append(out, Filter{Attr: attr, Values: slices.Compact(vals)})
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Attr < out[j].Attr })
 	return out
 }
 
 // buildSession builds a facet session over all rows of one view
-// snapshot with the request's filters applied. Callers pass the view
-// from datasetEntry.snapshot so the whole request runs on one snapshot
-// even if an ingest refresh swaps the entry's view mid-flight. Each
-// filter's attribute is resolved before its values, and a filter without
-// values is an error, as on /suggest.
+// snapshot with the request's filters applied by Session.SelectValues,
+// the filter rule /suggest applies too. Callers pass the view from
+// datasetEntry.snapshot so the whole request runs on one snapshot even
+// if an ingest refresh swaps the entry's view mid-flight.
 func buildSession(v *dataview.View, filters []Filter) (*facet.Session, error) {
 	sess := facet.NewSessionBitmap(v, dataset.FullBitmap(v.Rows()))
 	for _, f := range filters {
-		if _, err := v.Column(f.Attr); err != nil {
+		if err := sess.SelectValues(f.Attr, f.Values); err != nil {
 			return nil, err
-		}
-		if len(f.Values) == 0 {
-			return nil, fmt.Errorf("selection on %q has no values", f.Attr)
-		}
-		for _, val := range f.Values {
-			if err := sess.Select(f.Attr, val); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return sess, nil

@@ -329,7 +329,9 @@ func TestCADHighlightReorderFlow(t *testing.T) {
 // TestFilterValidationMatchesAcrossRoutes pins /query, /cad and
 // /suggest to one filter check: an unknown attribute, an empty value
 // list and a non-queriable attribute get the same status and error code
-// on every route, with or without values.
+// on every route, with or without values. An empty entry beside a valid
+// one on the same attribute fails too, even once /cad has cached the
+// valid one alone.
 func TestFilterValidationMatchesAcrossRoutes(t *testing.T) {
 	s, srv := newTestServer(t)
 	e, apiErr := s.dataset("UsedCars")
@@ -340,16 +342,21 @@ func TestFilterValidationMatchesAcrossRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	suv := Filter{Attr: "BodyType", Values: []string{"SUV"}}
+	if res, _ := post(t, srv, "/api/v1/UsedCars/cad", map[string]any{"pivot": "Make", "filters": []Filter{suv}}); res.StatusCode != http.StatusOK {
+		t.Fatalf("caching the valid filter: status %d", res.StatusCode)
+	}
 	cases := []struct {
-		name   string
-		filter Filter
-		code   string
+		name    string
+		filters []Filter
+		code    string
 	}{
-		{"unknown attribute, no values", Filter{Attr: "Nope", Values: []string{}}, CodeBadAttribute},
-		{"unknown attribute", Filter{Attr: "Nope", Values: []string{"x"}}, CodeBadAttribute},
-		{"empty value list", Filter{Attr: "BodyType", Values: []string{}}, CodeBadRequest},
-		{"non-queriable attribute, no values", Filter{Attr: "Engine", Values: []string{}}, CodeBadRequest},
-		{"non-queriable attribute", Filter{Attr: "Engine", Values: []string{engine.Label(0)}}, CodeBadRequest},
+		{"unknown attribute, no values", []Filter{{Attr: "Nope", Values: []string{}}}, CodeBadAttribute},
+		{"unknown attribute", []Filter{{Attr: "Nope", Values: []string{"x"}}}, CodeBadAttribute},
+		{"empty value list", []Filter{{Attr: "BodyType", Values: []string{}}}, CodeBadRequest},
+		{"empty entry beside a cached one", []Filter{{Attr: "BodyType", Values: []string{}}, suv}, CodeBadRequest},
+		{"non-queriable attribute, no values", []Filter{{Attr: "Engine", Values: []string{}}}, CodeBadRequest},
+		{"non-queriable attribute", []Filter{{Attr: "Engine", Values: []string{engine.Label(0)}}}, CodeBadRequest},
 	}
 	for _, c := range cases {
 		for _, route := range []struct {
@@ -360,7 +367,7 @@ func TestFilterValidationMatchesAcrossRoutes(t *testing.T) {
 			{"/api/v1/UsedCars/cad", map[string]any{"pivot": "Make"}},
 			{"/api/v1/UsedCars/suggest", map[string]any{}},
 		} {
-			route.body["filters"] = []Filter{c.filter}
+			route.body["filters"] = c.filters
 			res, out := post(t, srv, route.path, route.body)
 			if res.StatusCode != http.StatusBadRequest {
 				t.Errorf("%s on %s: status %d, want 400", c.name, route.path, res.StatusCode)
@@ -369,6 +376,51 @@ func TestFilterValidationMatchesAcrossRoutes(t *testing.T) {
 			if got := envelope(t, out); got.Code != c.code {
 				t.Errorf("%s on %s: code %q, want %q (%s)", c.name, route.path, got.Code, c.code, got.Message)
 			}
+		}
+	}
+}
+
+// TestSameAttributeFiltersAreOneFilter pins the filter rule the routes
+// share: two entries on one attribute are one filter, its values OR-ed.
+// Three spellings of Make in {Ford, Jeep} must give one total on /query
+// and /suggest, and /cad must answer the second and third from the
+// cache entry the first one built.
+func TestSameAttributeFiltersAreOneFilter(t *testing.T) {
+	srv := testServer(t)
+	// field posts body to a route and decodes one key of its answer.
+	field := func(route string, body map[string]any, key string, into any) {
+		t.Helper()
+		res, out := post(t, srv, "/api/v1/UsedCars/"+route, body)
+		if res.StatusCode != http.StatusOK {
+			t.Fatalf("%s %v: status %d", route, body["filters"], res.StatusCode)
+		}
+		if err := json.Unmarshal(out[key], into); err != nil {
+			t.Fatalf("%s %v: %s: %v", route, body["filters"], key, err)
+		}
+	}
+	ford, jeep := Filter{Attr: "Make", Values: []string{"Ford"}}, Filter{Attr: "Make", Values: []string{"Jeep"}}
+	want := -1
+	for i, filters := range [][]Filter{
+		{ford, jeep},
+		{jeep, ford},
+		{{Attr: "Make", Values: []string{"Jeep", "Ford", "Jeep"}}},
+	} {
+		var query int
+		var drill struct {
+			Total int `json:"total"`
+		}
+		var cached bool
+		field("query", map[string]any{"filters": filters}, "total", &query)
+		field("suggest", map[string]any{"filters": filters}, "drilldown", &drill)
+		field("cad", map[string]any{"filters": filters, "pivot": "BodyType"}, "cached", &cached)
+		if i == 0 {
+			want = query
+		}
+		if want <= 0 || query != want || drill.Total != want {
+			t.Errorf("spelling %d: /query total %d, /suggest total %d, want both %d (> 0)", i, query, drill.Total, want)
+		}
+		if cached != (i > 0) {
+			t.Errorf("spelling %d: /cad cached = %v, want %v", i, cached, i > 0)
 		}
 	}
 }

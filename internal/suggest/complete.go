@@ -9,6 +9,7 @@ import (
 
 	"dbexplorer/internal/cadql"
 	"dbexplorer/internal/dataset"
+	"dbexplorer/internal/dataview"
 	"dbexplorer/internal/fault"
 )
 
@@ -167,11 +168,15 @@ func (s *Suggester) valueCandidates(ctx context.Context, p *prefix, attr, op str
 		return nil, err
 	}
 	n := s.base.Len()
-	counts, freqs := s.membershipCounts(p, col, p.total < n)
-	cands := make([]Candidate, 0, len(counts))
-	for code, count := range counts {
+	in := dataview.Tally(p.bm, []*dataview.Column{col})[0]
+	freq := in
+	if p.total < n {
+		freq = dataview.Tally(s.base, []*dataview.Column{col})[0]
+	}
+	cands := make([]Candidate, 0, len(in))
+	for code, count := range in {
 		label := col.Label(code)
-		marginal := float64(freqs[code]) / float64(n)
+		marginal := float64(freq[code]) / float64(n)
 		c := Candidate{
 			Text:     quoteValue(label),
 			Category: cadql.ExpectValue,

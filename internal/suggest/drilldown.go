@@ -38,6 +38,8 @@ type AttrSuggestion struct {
 	// is scaled down by the dependency's g3 error.
 	DeterminedBy string            `json:"determinedBy,omitempty"`
 	Values       []ValueSuggestion `json:"values"`
+
+	counts []int // rows of the result per view code, for Values
 }
 
 // DrillDown is the guided-navigation answer for one filter set.
@@ -56,8 +58,9 @@ type DrillDown struct {
 // Drill recommends the next facet refinements for a filter set: which
 // unselected attributes discriminate the current result set most, and
 // which of their values remain reachable. Facet semantics apply —
-// values OR within an attribute, attributes AND across. Everything is
-// fused bitmap algebra over posting sets; no row scans.
+// values OR within an attribute, attributes AND across. Every value
+// count comes from the one dataview.Tally call that ranks the
+// attributes.
 func (s *Suggester) Drill(ctx context.Context, sels []Selection, opts Options) (*DrillDown, error) {
 	p, err := s.selectionPrefix(sels)
 	if err != nil {
@@ -76,11 +79,8 @@ func (s *Suggester) Drill(ctx context.Context, sels []Selection, opts Options) (
 	}
 	for i := range ranked {
 		a := &ranked[i]
-		col, err := s.view.Column(a.Attr)
-		if err != nil {
-			return nil, err
-		}
-		a.Values = s.valueSuggestions(p, col, opts)
+		col, _ := s.view.Column(a.Attr) // rankAttrs ranks the view's own columns
+		a.Values = valueSuggestions(col, a.counts, opts)
 	}
 	out.Attrs = ranked
 	return out, nil
@@ -90,34 +90,41 @@ func (s *Suggester) Drill(ctx context.Context, sels []Selection, opts Options) (
 // chi-square association between the attribute and membership in the
 // prefix (Cramér's V), or normalized entropy when the prefix is the
 // whole table. FD-determined attributes are downranked by the
-// dependency's g3 error.
+// dependency's g3 error. One dataview.Tally call counts every candidate
+// under the prefix, and one more over the view's rows when it filters.
 func (s *Suggester) rankAttrs(ctx context.Context, p *prefix) ([]AttrSuggestion, error) {
 	schema := s.view.Table().Schema()
-	filtered := p.total < s.base.Len()
-	var out []AttrSuggestion
+	var cols []*dataview.Column
 	for _, col := range s.view.Columns() {
-		if !schema[col.Col].Queriable || p.attrs[col.Attr] {
-			continue
+		if schema[col.Col].Queriable && !p.attrs[col.Attr] {
+			cols = append(cols, col)
 		}
+	}
+	in := dataview.Tally(p.bm, cols)
+	freq, filtered := in, p.total < s.base.Len()
+	if filtered {
+		freq = dataview.Tally(s.base, cols)
+	}
+	var out []AttrSuggestion
+	for i, col := range cols {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if err := fault.Hit(ctx, fault.PointSuggestRank); err != nil {
 			return nil, err
 		}
-		in, freq := s.membershipCounts(p, col, filtered)
-		a := AttrSuggestion{Attr: col.Attr, PValue: 1}
+		a := AttrSuggestion{Attr: col.Attr, PValue: 1, counts: in[i]}
 		if filtered {
-			counts := make([][]int, len(in))
-			for code := range in {
-				counts[code] = []int{in[code], freq[code] - in[code]}
+			counts := make([][]int, len(in[i]))
+			for code, n := range in[i] {
+				counts[code] = []int{n, freq[i][code] - n}
 			}
 			res, err := stats.ChiSquare(&stats.ContingencyTable{Counts: counts})
 			if err == nil {
 				a.Score, a.PValue = res.CramerV, res.PValue
 			}
 		} else {
-			a.Score = normalizedEntropy(freq)
+			a.Score = normalizedEntropy(freq[i])
 		}
 		if det, g3 := s.determinedBy(p, col.Attr); det != "" {
 			a.DeterminedBy = det
@@ -134,46 +141,27 @@ func (s *Suggester) rankAttrs(ctx context.Context, p *prefix) ([]AttrSuggestion,
 	return out, nil
 }
 
-// membershipCounts returns, per view code of col (dictionary values or
-// histogram bins), the count inside the prefix and the frequency over
-// the view's snapshot — posting-set popcounts and fused intersect-
-// popcounts, no row scans. Both read the view's own postings, so rows
-// the table gained after the view was built never leak in.
-func (s *Suggester) membershipCounts(p *prefix, col *dataview.Column, filtered bool) (in, freq []int) {
-	postings := col.Postings()
-	in = make([]int, len(postings))
-	freq = make([]int, len(postings))
-	for code, post := range postings {
-		freq[code] = post.Len()
-		in[code] = freq[code]
-		if filtered {
-			in[code] = p.bm.AndLen(post)
-		}
-	}
-	return in, freq
-}
-
 // determinedBy reports the first prefix attribute that functionally
-// determines attr (per the mined FDs under the g3 threshold), with the
-// dependency's error.
+// determines attr (fd.DiscoverPairs mines only dependencies under its
+// g3 threshold), with the dependency's error.
 func (s *Suggester) determinedBy(p *prefix, attr string) (string, float64) {
 	if s.model == nil {
 		return "", 0
 	}
 	for _, d := range s.model.deps {
-		if d.Dependent == attr && d.Error <= fdMaxError && p.attrs[d.Determinant] {
+		if d.Dependent == attr && p.attrs[d.Determinant] {
 			return d.Determinant, d.Error
 		}
 	}
 	return "", 0
 }
 
-// valueSuggestions lists the attribute's refinement values under the
-// prefix, count-descending. Dead-end values (zero surviving rows) are
-// pruned unless opts.IncludeDeadEnds, in which case they trail the list
-// flagged. Numeric attributes surface histogram-bin labels.
-func (s *Suggester) valueSuggestions(p *prefix, col *dataview.Column, opts Options) []ValueSuggestion {
-	in, _ := s.membershipCounts(p, col, p.total < s.base.Len())
+// valueSuggestions lists the attribute's refinement values from their
+// counts under the prefix, count-descending. Dead-end values (zero
+// surviving rows) are pruned unless opts.IncludeDeadEnds, in which case
+// they trail the list flagged. Numeric attributes surface histogram-bin
+// labels.
+func valueSuggestions(col *dataview.Column, in []int, opts Options) []ValueSuggestion {
 	vals := make([]ValueSuggestion, 0, len(in))
 	for code, n := range in {
 		vals = append(vals, ValueSuggestion{Value: col.Label(code), Count: n, DeadEnd: n == 0})

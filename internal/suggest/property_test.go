@@ -141,10 +141,11 @@ func bruteForceValueCounts(t *testing.T, tbl *dataset.Table, s *Suggester, attr 
 }
 
 // TestSuggestZeroRowScans is the hot-path acceptance check: after
-// Warm(), completion and drill-down requests must answer from posting
-// bitmaps alone. Every lazy build that scans table rows sits behind a
-// fault point; arming all of them with unconditional panics proves no
-// request triggers one.
+// Warm(), no completion or drill-down request builds an index or a
+// posting set. Requests still read rows — dataview.Tally walks a sparse
+// result's rows over the view's code segments — but every lazy build
+// sits behind a fault point, and arming all of them with unconditional
+// panics proves no request triggers one.
 func TestSuggestZeroRowScans(t *testing.T) {
 	tbl := datagen.UsedCars(1000, 3)
 	v, err := dataview.New(tbl, dataview.Options{})

@@ -7,15 +7,14 @@
 // with dead-end avoidance) — the paper's premise being that exploratory
 // users do not know the data well enough to write precise queries.
 //
-// Everything on the hot path is posting-bitmap algebra: value counts —
-// dictionary values and numeric histogram bins alike — are fused
-// intersect-popcounts (Bitmap.AndLen) of the view's posting sets with
-// the prefix bitmap, numeric threshold probes are binary searches over
-// the index's sorted orders (Index.NumCmpRangeLen), and attribute
-// ranking is chi-square over contingency counts assembled from those
-// popcounts. After the lazy one-time posting builds, no request ever
-// scans table rows. The optional Model (functional dependencies + a
-// Chow-Liu tree Bayes net, mined once per view snapshot) adds interestingness:
+// Value counts under the prefix bitmap — dictionary values and numeric
+// histogram bins alike — come from dataview.Tally, which walks a sparse
+// prefix's rows and intersect-popcounts posting sets otherwise; numeric
+// threshold probes are binary searches over the index's sorted orders
+// (Index.NumCmpRangeLen), and attribute ranking is chi-square over those
+// counts. After Warm, no request builds an index or a posting set. The
+// optional Model (functional dependencies + a Chow-Liu tree Bayes net,
+// mined once per view snapshot) adds interestingness:
 // conditional probabilities under pinned parents and FD-based downranking
 // of determined attributes. Without a model the service degrades to
 // selectivity-only ranking.
@@ -31,6 +30,7 @@ import (
 	"dbexplorer/internal/dataset"
 	"dbexplorer/internal/dataview"
 	"dbexplorer/internal/expr"
+	"dbexplorer/internal/facet"
 	"dbexplorer/internal/fault"
 	"dbexplorer/internal/fd"
 )
@@ -42,10 +42,6 @@ const (
 	DefaultMaxValues = 10  // per-attribute value suggestions in drill-down
 )
 
-// fdMaxError is the g3 threshold for treating a dependency as
-// "determining" during ranking: fd's own reporting threshold.
-const fdMaxError = fd.MaxError
-
 // Model holds the per-dataset statistical context mined from the full
 // table: approximate functional dependencies and a Chow-Liu tree Bayes
 // net over the queriable attributes. It is immutable once built; the
@@ -54,9 +50,6 @@ const fdMaxError = fd.MaxError
 type Model struct {
 	deps []fd.Dependency
 	net  *bayesnet.Network
-	// determinedBy maps a dependent attribute to the determinants whose
-	// g3 error is below fdMaxError.
-	determinedBy map[string][]string
 }
 
 // Dependencies returns the mined functional dependencies.
@@ -92,13 +85,7 @@ func BuildModel(ctx context.Context, v *dataview.View) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("suggest: Bayes net: %w", err)
 	}
-	m := &Model{deps: deps, net: net, determinedBy: make(map[string][]string)}
-	for _, d := range deps {
-		if d.Error <= fdMaxError {
-			m.determinedBy[d.Dependent] = append(m.determinedBy[d.Dependent], d.Determinant)
-		}
-	}
-	return m, nil
+	return &Model{deps: deps, net: net}, nil
 }
 
 // MemoryBytes returns the bytes the model's probability tables hold;
@@ -349,38 +336,26 @@ func (s *Suggester) numCmp(col int, c float64, includeEq, below, above bool) *da
 	return s.view.Table().Index().NumCmpRange(col, c, includeEq, below, above).Resize(s.base.Universe())
 }
 
-// selectionPrefix folds a faceted filter set (values OR within an
-// attribute, attributes AND) into a prefix bitmap.
+// selectionPrefix folds a faceted filter set into a prefix bitmap
+// through a facet session, so /suggest applies the filter rule of /query
+// and /cad (Session.SelectValues): values OR within an attribute, also
+// across two selections of it, and attributes AND.
 func (s *Suggester) selectionPrefix(sels []Selection) (*prefix, error) {
-	p := s.emptyPrefix()
-	schema := s.view.Table().Schema()
+	sess := facet.NewSessionBitmap(s.view, s.base)
 	for _, sel := range sels {
-		col, err := s.view.Column(sel.Attr)
-		if err != nil {
+		if err := sess.SelectValues(sel.Attr, sel.Values); err != nil {
 			return nil, err
 		}
-		if !schema[col.Col].Queriable {
-			return nil, fmt.Errorf("suggest: attribute %q is not queriable", sel.Attr)
-		}
-		if len(sel.Values) == 0 {
-			return nil, fmt.Errorf("suggest: selection on %q has no values", sel.Attr)
-		}
-		postings := col.Postings()
-		bm := dataset.NewBitmap(s.base.Universe())
-		for _, v := range sel.Values {
-			code := col.CodeOf(v)
-			if code < 0 {
-				return nil, &dataview.UnknownValueError{Attr: sel.Attr, Value: v}
-			}
-			bm.OrWith(postings[code])
-		}
-		p.bm = p.bm.And(bm)
+	}
+	p := s.emptyPrefix()
+	p.bm = sess.Bitmap()
+	p.total = p.bm.Len()
+	for _, sel := range sess.Selections() {
 		p.attrs[sel.Attr] = true
 		if len(sel.Values) == 1 {
 			p.pins[sel.Attr] = sel.Values[0]
 		}
 	}
-	p.total = p.bm.Len()
 	return p, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"dbexplorer/internal/cadql"
 	"dbexplorer/internal/datagen"
 	"dbexplorer/internal/dataview"
+	"dbexplorer/internal/fd"
 )
 
 // carsSuggester builds a Suggester (with model) over n synthetic
@@ -40,7 +41,7 @@ func TestBuildModel(t *testing.T) {
 	// sweep must find Model -> Make.
 	found := false
 	for _, d := range s.model.Dependencies() {
-		if d.Determinant == "Model" && d.Dependent == "Make" && d.Error <= fdMaxError {
+		if d.Determinant == "Model" && d.Dependent == "Make" && d.Error <= fd.MaxError {
 			found = true
 		}
 	}

@@ -2,14 +2,15 @@
 // on every awkward segment shape — well inside one segment, one row past
 // a segment edge, and an exact multiple of the segment size — must
 // produce CAD Views whose bitmap chi-square scores match the row scan's
-// bit for bit and whose pivot rows match a row loop, facet digests
-// that match independent row scans, and compiled predicate plans that
-// select the same rows cold (no postings yet) and warm.
+// bit for bit and whose pivot rows match a row loop, facet digests and
+// panels that match a loop over table cells, and compiled predicate
+// plans that select the same rows cold (no postings yet) and warm.
 package dbexplorer_test
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -132,6 +133,53 @@ func checkBoundaryCADView(t *testing.T, v *dataview.View, rows dataset.RowSet) *
 		}
 	}
 	return got
+}
+
+// checkCellSummary requires sum to list, count descending then value
+// ascending, the values a plain loop over the table's cells counts over
+// rows: dictionary values, histogram bins of numeric values, NaN in no
+// bin.
+func checkCellSummary(t *testing.T, v *dataview.View, sum facet.AttrSummary, rows dataset.RowSet, what string) {
+	t.Helper()
+	col, err := v.Column(sum.Attr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{}
+	for _, r := range rows {
+		if cat := v.Table().Cat(col.Col); cat != nil {
+			want[cat.Value(r)]++
+		} else if x := v.Table().Num(col.Col).Value(r); !math.IsNaN(x) {
+			want[col.Histogram().Label(col.Histogram().Bin(x))]++
+		}
+	}
+	if len(sum.Values) != len(want) {
+		t.Fatalf("%s %s: %d values, cell loop finds %d", what, sum.Attr, len(sum.Values), len(want))
+	}
+	for i, vc := range sum.Values {
+		if vc.Count != want[vc.Value] {
+			t.Fatalf("%s %s=%s: count %d, cell loop %d", what, sum.Attr, vc.Value, vc.Count, want[vc.Value])
+		}
+		if prev := sum.Values[max(i-1, 0)]; prev.Count < vc.Count || prev.Count == vc.Count && prev.Value > vc.Value {
+			t.Fatalf("%s %s: %v out of order", what, sum.Attr, sum.Values)
+		}
+	}
+}
+
+// cellRows returns the rows whose categorical cells hold the given
+// value of every named attribute, by a plain loop over the table.
+func cellRows(tbl *dataset.Table, eq map[string]string) dataset.RowSet {
+	var out dataset.RowSet
+rows:
+	for r := 0; r < tbl.NumRows(); r++ {
+		for attr, val := range eq {
+			if tbl.Cat(tbl.ColIndex(attr)).Value(r) != val {
+				continue rows
+			}
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 // tableRows extracts rows [lo, hi) of t in AppendBatch form.
@@ -307,47 +355,43 @@ func TestSegmentBoundaryEquivalence(t *testing.T) {
 				t.Fatal("warm Select disagrees with cold Select")
 			}
 
-			// Facet digest vs independent references: categorical
-			// summaries against the table's value-count scan, numeric
-			// summaries against a per-row code tally.
+			// Facet digests and panels vs a loop over table cells: the
+			// whole table, and a session filtered to the c0 and c1 values
+			// of the first row of the last segment, so its sparse result
+			// holds that segment-edge row. Each panel attribute counts
+			// under the other attribute's filter.
 			v, err := dataview.New(tbl, dataview.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			digest := facet.Summarize(v, rows, false)
-			for _, name := range []string{"c0", "c1"} {
-				sum := digest.Attr(name)
-				if sum == nil {
-					t.Fatalf("digest has no summary for %s", name)
+			if len(digest.Attrs) != 3 {
+				t.Fatalf("digest has %d attributes, want 3", len(digest.Attrs))
+			}
+			for _, sum := range digest.Attrs {
+				checkCellSummary(t, v, sum, rows, "whole-table digest")
+			}
+			edge := (n - 1) &^ dataset.SegmentMask
+			eq := map[string]string{}
+			sess := facet.NewSession(v, rows)
+			for _, attr := range []string{"c0", "c1"} {
+				eq[attr] = tbl.Cat(tbl.ColIndex(attr)).Value(edge)
+				if err := sess.Select(attr, eq[attr]); err != nil {
+					t.Fatal(err)
 				}
-				want := tbl.ValueCounts(tbl.ColIndex(name), rows)
-				if len(sum.Values) != len(want) {
-					t.Fatalf("%s: %d facet values, want %d", name, len(sum.Values), len(want))
-				}
-				for i, vc := range sum.Values {
-					if vc.Value != want[i].Value || vc.Count != want[i].Count {
-						t.Fatalf("%s[%d] = %s:%d, want %s:%d", name, i, vc.Value, vc.Count, want[i].Value, want[i].Count)
+			}
+			filtered := cellRows(tbl, eq)
+			for _, sum := range sess.Digest().Attrs {
+				checkCellSummary(t, v, sum, filtered, "filtered digest")
+			}
+			for _, sum := range sess.PanelDigest().Attrs {
+				others := map[string]string{}
+				for attr, val := range eq {
+					if attr != sum.Attr {
+						others[attr] = val
 					}
 				}
-			}
-			scoreCol, err := v.Column("score")
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantBins := map[string]int{}
-			for r := 0; r < n; r++ {
-				if code := scoreCol.Code(r); code >= 0 {
-					wantBins[scoreCol.Label(code)]++
-				}
-			}
-			gotBins := map[string]int{}
-			if sum := digest.Attr("score"); sum != nil {
-				for _, vc := range sum.Values {
-					gotBins[vc.Value] = vc.Count
-				}
-			}
-			if !reflect.DeepEqual(gotBins, wantBins) {
-				t.Fatalf("score facet bins = %v, want %v", gotBins, wantBins)
+				checkCellSummary(t, v, sum, cellRows(tbl, others), "panel")
 			}
 
 			// CAD Views on every boundary shape: bitmap chi-square scores
