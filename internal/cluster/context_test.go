@@ -34,7 +34,7 @@ func TestKMeansContextMatchesKMeans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Inertia != withCtx.Inertia || plain.K != withCtx.K {
+	if inertia(ctxTestPoints(), plain) != inertia(ctxTestPoints(), withCtx) || plain.K != withCtx.K {
 		t.Errorf("results diverge: %+v vs %+v", plain, withCtx)
 	}
 	for i := range plain.Assign {

@@ -137,11 +137,7 @@ func KMeansDense(p *Points, k int, opt Options) (*Result, error) {
 	// Final assignment of all points (covers the sampled-fit path too).
 	finalAssign := make([]int, p.N)
 	assignPoints(p, centers, k, finalAssign)
-	inertia := 0.0
-	for i := 0; i < p.N; i++ {
-		inertia += sqDist(p.Row(i), centers[finalAssign[i]*p.Dim:(finalAssign[i]+1)*p.Dim])
-	}
-	return &Result{K: k, Assign: finalAssign, Centers: centers, Inertia: inertia, Iters: iters}, nil
+	return &Result{K: k, Assign: finalAssign, Centers: centers, Iters: iters}, nil
 }
 
 // reseedEmpty re-seeds empty centers at the points farthest from their

@@ -11,10 +11,31 @@ import (
 
 // The sparse kernel's contract is not "approximately the same
 // clustering" — it is bit-identical Results: every random draw, every
-// assignment decision, every center coordinate, and the final inertia
+// assignment decision, every center coordinate, and the iteration count
 // must reproduce the dense reference exactly (same seed, deterministic
 // tie-breaking via the dense-distance fallback). These tests pin that
 // contract on the two evaluation datasets and on adversarial inputs.
+
+// inertia sums each point's squared distance to its assigned center over
+// the dense one-hot coordinates of sp: the k-means objective, computed
+// from a Result's assignments and centers for the tests that check it.
+func inertia(sp *SparsePoints, res *Result) float64 {
+	total := 0.0
+	for i, c := range res.Assign {
+		center := res.Centers[c*sp.Dim : (c+1)*sp.Dim]
+		hot := make([]bool, sp.Dim)
+		for a := 0; a < sp.A; a++ {
+			hot[sp.Offsets[a]+int(sp.Codes[i*sp.A+a])] = true
+		}
+		for d, x := range center {
+			if hot[d] {
+				x -= 1
+			}
+			total += x * x
+		}
+	}
+	return total
+}
 
 func encodeBoth(t *testing.T, v *dataview.View, rows dataset.RowSet, attrs []string) (*Points, *SparsePoints) {
 	t.Helper()
@@ -54,9 +75,6 @@ func assertIdentical(t *testing.T, tag string, want, got *Result) {
 		if want.Centers[d] != got.Centers[d] {
 			t.Fatalf("%s: center coordinate %d differs: %v vs %v", tag, d, want.Centers[d], got.Centers[d])
 		}
-	}
-	if want.Inertia != got.Inertia {
-		t.Fatalf("%s: inertia %v vs %v", tag, want.Inertia, got.Inertia)
 	}
 }
 
@@ -172,7 +190,7 @@ func TestCollapsePropertyCentersUnchanged(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if want.K != got.K || want.Iters != got.Iters || want.Inertia != got.Inertia {
+		if want.K != got.K || want.Iters != got.Iters {
 			return false
 		}
 		for i := range want.Assign {
@@ -241,8 +259,8 @@ func TestSparseKMeansEdgeCases(t *testing.T) {
 	if res.K != 3 {
 		t.Errorf("K = %d, want clamp to 3", res.K)
 	}
-	if res.Inertia != 0 {
-		t.Errorf("one point per center inertia = %g", res.Inertia)
+	if got := inertia(sp, res); got != 0 {
+		t.Errorf("one point per center inertia = %g", got)
 	}
 	// Identical points collapse to a single group.
 	same := &SparsePoints{Codes: []int32{1, 1, 1, 1}, N: 4, A: 1, Dim: 2, Offsets: []int{0, 2}}
@@ -250,7 +268,7 @@ func TestSparseKMeansEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Inertia != 0 {
-		t.Errorf("identical points inertia = %g", res.Inertia)
+	if got := inertia(same, res); got != 0 {
+		t.Errorf("identical points inertia = %g", got)
 	}
 }

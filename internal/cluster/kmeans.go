@@ -43,7 +43,8 @@ const maxIter = 50
 
 // StageTimes splits a k-means fit's wall time across the Lloyd phases:
 // k-means++ seeding, assignment passes (including the final full-point
-// pass and inertia sum), center updates, and empty-center reseeding.
+// pass, or the expansion of group assignments to points), center
+// updates, and empty-center reseeding.
 type StageTimes struct {
 	Seed   time.Duration `json:"seed"`
 	Assign time.Duration `json:"assign"`
@@ -86,8 +87,6 @@ type Result struct {
 	Assign []int
 	// Centers is row-major K×Dim.
 	Centers []float64
-	// Inertia is the total squared distance of points to their centers.
-	Inertia float64
 	// Iters is the number of Lloyd iterations executed.
 	Iters int
 	// Stages breaks the fit's wall time into Lloyd phases.

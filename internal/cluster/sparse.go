@@ -1060,8 +1060,8 @@ func (f *sparseFit) reseedEmptyCached(assign []int32, empty []int, ds *deltaStat
 // production kernel behind IUnit generation. It runs weighted Lloyd over
 // duplicate-collapsed points with O(A) distances instead of O(Dim),
 // pruned by Hamerly/Elkan distance bounds so converged groups skip the
-// k-way scan, and its Result — assignments, centers, inertia, iteration
-// count — is bit-identical to textbook dense Lloyd on the equivalent
+// k-way scan, and its Result — assignments, centers, iteration count —
+// is bit-identical to textbook dense Lloyd on the equivalent
 // dense one-hot encoding (the reference in dense_test.go); see DESIGN.md
 // §16 for the equivalence argument.
 func KMeans(sp *SparsePoints, k int, opt Options) (*Result, error) {
@@ -1125,10 +1125,11 @@ func KMeansContext(ctx context.Context, sp *SparsePoints, k int, opt Options) (*
 // still wins by more than the near-tie window, (2) recomputes only the
 // centers whose membership changed, by moving group weights between
 // integer-exact sums, and (3) reuses exact distances the assignment
-// fallback already computed for reseeding and the final inertia. When
-// the loop converges on an unsampled fit, the final assignment pass is
-// skipped entirely: it would recompute a fixed point of the very
-// function that just reported no changes.
+// fallback already computed for reseeding. The fit ends at the loop: no
+// distance is computed after it. When the loop converges on an
+// unsampled fit, the final assignment pass is skipped entirely — it
+// would recompute a fixed point of the very function that just reported
+// no changes — and group assignments only expand to points.
 func (f *sparseFit) lloydPruned(ctx context.Context, sp *SparsePoints, full, fit *groupSet, rng *rand.Rand, k int, sampled bool) (*Result, error) {
 	var st StageTimes
 	f.nz = make([][]int32, k)
@@ -1179,40 +1180,16 @@ func (f *sparseFit) lloydPruned(ctx context.Context, sp *SparsePoints, full, fit
 		return nil, err
 	}
 	t = time.Now()
-	var fullAssign []int32
-	dist := make([]float64, full.g)
-	if converged && !sampled {
-		// assignGroups is a pure function of (centers, groups); the loop
-		// just observed it to be change-free on these very centers and
-		// groups, so rerunning it would reproduce assign bit for bit.
-		fullAssign = assign
-		parallel.ForChunks(full.g, minChunkGroups, func(lo, hi int) {
-			for g := lo; g < hi; g++ {
-				a := int(fullAssign[g])
-				if bs.distAE[g] >= 0 && bs.distAE[g] == f.epoch[a] {
-					dist[g] = bs.distA[g]
-					continue
-				}
-				dist[g] = f.distNZ(full.rowCodes(g), a)
-			}
-		})
-	} else {
+	fullAssign := assign
+	if !converged || sampled {
 		f.gs, f.n = full, sp.N
 		fullAssign = make([]int32, full.g)
 		f.assignGroups(fullAssign)
-		parallel.ForChunks(full.g, minChunkGroups, func(lo, hi int) {
-			for g := lo; g < hi; g++ {
-				dist[g] = f.distNZ(full.rowCodes(g), int(fullAssign[g]))
-			}
-		})
 	}
 	finalAssign := make([]int, sp.N)
-	inertia := 0.0
-	for i := 0; i < sp.N; i++ {
-		g := full.of[i]
+	for i, g := range full.of {
 		finalAssign[i] = int(fullAssign[g])
-		inertia += dist[g]
 	}
 	st.Assign += time.Since(t)
-	return &Result{K: k, Assign: finalAssign, Centers: f.centers, Inertia: inertia, Iters: iters, Stages: st}, nil
+	return &Result{K: k, Assign: finalAssign, Centers: f.centers, Iters: iters, Stages: st}, nil
 }

@@ -486,19 +486,19 @@ func (s *Session) execExplain(ctx context.Context, st *cadql.ExplainStmt) (*Resu
 		return &Result{Kind: KindMessage, Message: b.String()}, nil
 	}
 
-	// Pivot value distribution: the values whose posting set meets the
-	// result (NaN pivot cells belong to no posting).
+	// Pivot value distribution: the codes the result's rows carry (NaN
+	// pivot cells carry none).
 	pivotCol, err := v.Column(c.Pivot)
 	if err != nil {
 		return nil, err
 	}
-	values := make(map[string]bool)
-	for code, p := range pivotCol.Postings() {
-		if p.AndLen(rows) > 0 {
-			values[pivotCol.Label(code)] = true
+	values := 0
+	for _, n := range dataview.Tally(rows, []*dataview.Column{pivotCol})[0] {
+		if n > 0 {
+			values++
 		}
 	}
-	fmt.Fprintf(&b, "pivot %s: %d values in result\n", c.Pivot, len(values))
+	fmt.Fprintf(&b, "pivot %s: %d values in result\n", c.Pivot, values)
 
 	// Full candidate ranking, as the builder would see it.
 	var candidates []string

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -411,6 +412,41 @@ func TestExecExplain(t *testing.T) {
 	// EXPLAIN must not store the view.
 	if _, err := s.View("v"); err == nil {
 		t.Error("EXPLAIN stored the view")
+	}
+	// The pivot line counts the distinct Make cells of the rows the WHERE
+	// keeps, counted here straight from a copy of the table. The first
+	// result is under an eighth of the table, so dataview.Tally walks its
+	// rows; the others are larger, so it intersects postings. Jeeps cost
+	// 33K and up, so the Price filters keep two of the three makes.
+	ref := carsTable(t, 400, 1)
+	mk, price, body := ref.ColIndex("Make"), ref.ColIndex("Price"), ref.ColIndex("BodyType")
+	for _, tc := range []struct {
+		where  string
+		keep   func(r int) bool
+		walked bool
+	}{
+		{"Price < 25400", func(r int) bool { return ref.Num(price).Value(r) < 25400 }, true},
+		{"Price < 31000", func(r int) bool { return ref.Num(price).Value(r) < 31000 }, false},
+		{"BodyType = SUV", func(r int) bool { return ref.Cat(body).Value(r) == "SUV" }, false},
+	} {
+		kept, makes := 0, map[string]bool{}
+		for r := 0; r < ref.NumRows(); r++ {
+			if tc.keep(r) {
+				kept++
+				makes[ref.Cat(mk).Value(r)] = true
+			}
+		}
+		if walked := kept < ref.NumRows()/8; walked != tc.walked {
+			t.Fatalf("WHERE %s keeps %d of %d rows: walked = %v, want %v", tc.where, kept, ref.NumRows(), walked, tc.walked)
+		}
+		r, err := s.Exec(`EXPLAIN CREATE CADVIEW v AS SET pivot = Make SELECT Price FROM UsedCars WHERE ` + tc.where + ` LIMIT COLUMNS 3 IUNITS 2`)
+		if err != nil {
+			t.Fatalf("WHERE %s: %v", tc.where, err)
+		}
+		want := fmt.Sprintf("result set: %d of %d tuples\npivot Make: %d values in result\n", kept, ref.NumRows(), len(makes))
+		if !strings.Contains(r.Message, want) {
+			t.Errorf("WHERE %s: explain missing %q:\n%s", tc.where, want, r.Message)
+		}
 	}
 	// Empty result set explains without building.
 	r, err = s.Exec(`EXPLAIN CREATE CADVIEW v2 AS SET pivot = Make SELECT Price FROM UsedCars WHERE Price > 9999K`)

@@ -276,10 +276,10 @@ func NewServer(opts ...Option) *Server {
 // observeSelectivity records what fraction of the view's rows a filter
 // stack kept, and refreshes the lazily-built-index gauges — how many
 // categorical posting sets, numeric sort orders, and view-level
-// posting sets exist process-wide, and how many bytes of posting
-// storage this server's registered datasets hold (container-aware, so
-// the compression hybrid containers deliver on skewed columns shows up
-// here, not just in benches).
+// posting sets exist process-wide. It reads counters only: the
+// posting-memory gauge is refreshed at scrape time instead, since
+// measuring it walks every container and would extend a grown table's
+// index on the reader's request path.
 func (s *Server) observeSelectivity(kept, base int) {
 	if base > 0 {
 		s.selectivity.Observe(float64(kept) / float64(base))
@@ -291,7 +291,6 @@ func (s *Server) observeSelectivity(kept, base int) {
 	s.reg.Gauge("index_cat_posting_extends").Set(catX)
 	s.reg.Gauge("index_num_order_extends").Set(ordX)
 	s.reg.Gauge("view_posting_builds").Set(dataview.PostingStats())
-	s.reg.Gauge("index_posting_memory_bytes").Set(s.postingMemoryBytes())
 }
 
 // postingMemoryBytes sums Index.MemoryBytes over the registered
