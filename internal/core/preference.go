@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"dbexplorer/internal/dataview"
 )
 
@@ -18,7 +20,8 @@ func ByClusterSize(_ *dataview.View, iu *IUnit) float64 {
 
 // ByMeanAscending prefers IUnits whose cluster mean of the named numeric
 // attribute is low (e.g. rank cheap car clusters first). IUnits whose
-// attribute is missing or non-numeric score 0.
+// attribute is missing or non-numeric, or whose rows all lack a value,
+// score 0; missing cells are left out of the mean.
 func ByMeanAscending(attr string) Preference {
 	return func(v *dataview.View, iu *IUnit) float64 {
 		m, ok := clusterMean(v, iu, attr)
@@ -42,14 +45,25 @@ func ByMeanDescending(attr string) Preference {
 	}
 }
 
+// clusterMean averages the named numeric attribute over the IUnit's
+// rows that carry a value; missing (NaN) cells are skipped. It reports
+// false when the attribute is not numeric or no row has a value, so one
+// missing cell cannot make the score NaN.
 func clusterMean(v *dataview.View, iu *IUnit, attr string) (float64, bool) {
 	col, err := v.Table().NumByName(attr)
-	if err != nil || len(iu.Rows) == 0 {
+	if err != nil {
 		return 0, false
 	}
 	var s float64
+	n := 0
 	for _, r := range iu.Rows {
-		s += col.Value(r)
+		if x := col.Value(r); !math.IsNaN(x) {
+			s += x
+			n++
+		}
 	}
-	return s / float64(len(iu.Rows)), true
+	if n == 0 {
+		return 0, false
+	}
+	return s / float64(n), true
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -204,6 +205,68 @@ func TestExecCreateCADViewOrderBy(t *testing.T) {
 	}
 	if _, err := s.Exec(`CREATE CADVIEW v2 AS SET pivot = Make SELECT Engine FROM UsedCars ORDER BY Make ASC`); err == nil {
 		t.Error("ORDER BY categorical attribute: want error")
+	}
+}
+
+// TestExecCreateCADViewOrderByNullCells pins that a missing (null) cell
+// in the ORDER BY attribute leaves the IUnit ranking intact: the cluster
+// mean skips null cells, so no score is NaN and every pivot row keeps
+// its IUnits. Price is not a Compare Attribute here, so every cluster
+// holds rows without a price.
+func TestExecCreateCADViewOrderByNullCells(t *testing.T) {
+	base := carsTable(t, 2100, 3)
+	tbl := dataset.NewTable("UsedCars", base.Schema())
+	for r := 0; r < base.NumRows(); r++ {
+		vals := make([]any, len(base.Schema()))
+		for c := range vals {
+			if cat := base.Cat(c); cat != nil {
+				vals[c] = cat.Value(r)
+			} else {
+				vals[c] = base.Num(c).Value(r)
+			}
+		}
+		if r%7 == 0 {
+			vals[base.ColIndex("Price")] = math.NaN()
+		}
+		tbl.MustAppendRow(vals...)
+	}
+	price, _ := tbl.NumByName("Price")
+	s := NewSession()
+	s.Seed = 7
+	if err := s.Register(tbl); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{"ASC", "DESC"} {
+		r, err := s.Exec(`CREATE CADVIEW v` + dir + ` AS SET pivot = Make SELECT BodyType, Mileage FROM UsedCars LIMIT COLUMNS 2 IUNITS 3 ORDER BY Price ` + dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.View.Rows) != 3 {
+			t.Fatalf("ORDER BY Price %s: %d pivot rows, want 3", dir, len(r.View.Rows))
+		}
+		for _, row := range r.View.Rows {
+			if len(row.IUnits) == 0 {
+				t.Errorf("ORDER BY Price %s: pivot row %s has no IUnits", dir, row.Value)
+			}
+			for _, iu := range row.IUnits {
+				// The score is the mean over the rows that have a price.
+				var sum float64
+				n := 0
+				for _, r := range iu.Rows {
+					if p := price.Value(r); !math.IsNaN(p) {
+						sum += p
+						n++
+					}
+				}
+				want := sum / float64(n)
+				if dir == "ASC" {
+					want = 1 / (1 + want)
+				}
+				if math.Abs(iu.Score-want) > 1e-9*want {
+					t.Errorf("ORDER BY Price %s: IUnit (%s, %d) scores %g, want %g", dir, row.Value, iu.Rank, iu.Score, want)
+				}
+			}
+		}
 	}
 }
 

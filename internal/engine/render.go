@@ -15,7 +15,7 @@ func RenderResult(r *Result, maxRows int) string {
 	}
 	switch r.Kind {
 	case KindRows:
-		return renderRows(r, maxRows)
+		return renderSelect(r, maxRows)
 	case KindView:
 		return core.Render(r.View, nil)
 	case KindHighlight:
@@ -29,7 +29,7 @@ func RenderResult(r *Result, maxRows int) string {
 	}
 }
 
-func renderRows(r *Result, maxRows int) string {
+func renderSelect(r *Result, maxRows int) string {
 	cols := r.Columns
 	if len(cols) == 0 {
 		cols = r.Table.Schema().Names()

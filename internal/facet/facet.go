@@ -10,12 +10,14 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
 	"dbexplorer/internal/core"
 	"dbexplorer/internal/dataset"
 	"dbexplorer/internal/dataview"
+	"dbexplorer/internal/jsonw"
 	"dbexplorer/internal/parallel"
 	"dbexplorer/internal/stats"
 )
@@ -44,6 +46,48 @@ type Digest struct {
 	byAttr  map[string]int // lazily built name → Attrs index; see Attr
 	byAttrN int            // len(Attrs) when byAttr was built
 }
+
+// AppendJSON appends the digest's JSON encoding to b: the bytes
+// encoding/json writes for its exported fields (Go field names as keys,
+// nil slices as null), built without reflection. A nil digest is null.
+func (d *Digest) AppendJSON(b []byte) []byte {
+	if d == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, `{"Attrs":`...)
+	if d.Attrs == nil {
+		return append(b, "null}"...)
+	}
+	b = append(b, '[')
+	for i, a := range d.Attrs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"Attr":`...)
+		b = jsonw.String(b, a.Attr)
+		b = append(b, `,"Values":`...)
+		if a.Values == nil {
+			b = append(b, "null}"...)
+			continue
+		}
+		b = append(b, '[')
+		for j, vc := range a.Values {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"Value":`...)
+			b = jsonw.String(b, vc.Value)
+			b = append(b, `,"Count":`...)
+			b = strconv.AppendInt(b, int64(vc.Count), 10)
+			b = append(b, '}')
+		}
+		b = append(b, "]}"...)
+	}
+	return append(b, "]}"...)
+}
+
+// MarshalJSON implements json.Marshaler for Digest with AppendJSON.
+func (d *Digest) MarshalJSON() ([]byte, error) { return d.AppendJSON(nil), nil }
 
 // Attr returns the named attribute's summary, or nil. The name→index
 // map is built lazily on first lookup (and rebuilt if Attrs grew since),

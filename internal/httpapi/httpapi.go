@@ -35,7 +35,6 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"math"
 	"net/http"
 	"runtime/debug"
 	"slices"
@@ -50,6 +49,7 @@ import (
 	"dbexplorer/internal/dataview"
 	"dbexplorer/internal/facet"
 	"dbexplorer/internal/fault"
+	"dbexplorer/internal/jsonw"
 	"dbexplorer/internal/metrics"
 	"dbexplorer/internal/parallel"
 	"dbexplorer/internal/suggest"
@@ -659,44 +659,26 @@ func (s *Server) handleQuery(_ context.Context, ds *datasetEntry, w http.Respons
 	}
 	page, total := sess.Page(req.Offset, limit)
 	s.observeSelectivity(total, v.Rows())
-	writeJSON(w, http.StatusOK, map[string]any{
-		"count":  total,
-		"total":  total,
-		"offset": req.Offset,
-		"limit":  limit,
-		"rows":   renderRows(v.Table(), page),
-		"digest": sess.Digest(),
-		"panel":  sess.PanelDigest(),
-		"phase":  (&facet.TPFacet{Session: sess}).SuggestPhase(0).String(),
-	})
-	return nil
-}
-
-// renderRows materializes one page of table rows as JSON objects. NaN
-// (missing numeric) renders as null — encoding/json rejects NaN.
-func renderRows(t *dataset.Table, rows dataset.RowSet) []map[string]any {
-	schema := t.Schema()
-	out := make([]map[string]any, 0, len(rows))
-	for _, row := range rows {
-		obj := make(map[string]any, len(schema)+1)
-		obj["_row"] = row
-		for col, attr := range schema {
-			if cat := t.Cat(col); cat != nil {
-				obj[attr.Name] = cat.Value(row)
-				continue
-			}
-			if num := t.Num(col); num != nil {
-				v := num.Value(row)
-				if math.IsNaN(v) {
-					obj[attr.Name] = nil
-				} else {
-					obj[attr.Name] = v
-				}
-			}
-		}
-		out = append(out, obj)
+	b := append([]byte(nil), `{"count":`...)
+	b = strconv.AppendInt(b, int64(total), 10)
+	b = append(b, `,"digest":`...)
+	b = sess.Digest().AppendJSON(b)
+	b = append(b, `,"limit":`...)
+	b = strconv.AppendInt(b, int64(limit), 10)
+	b = append(b, `,"offset":`...)
+	b = strconv.AppendInt(b, int64(req.Offset), 10)
+	b = append(b, `,"panel":`...)
+	b = sess.PanelDigest().AppendJSON(b)
+	b = append(b, `,"phase":`...)
+	b = jsonw.String(b, (&facet.TPFacet{Session: sess}).SuggestPhase(0).String())
+	b = append(b, `,"rows":`...)
+	if b, err = appendRows(b, v.Table(), page); err != nil {
+		return errInternal()
 	}
-	return out
+	b = append(b, `,"total":`...)
+	b = strconv.AppendInt(b, int64(total), 10)
+	writeBody(w, http.StatusOK, append(b, "}\n"...))
+	return nil
 }
 
 type cadRequest struct {
@@ -743,34 +725,23 @@ func (s *Server) handleCAD(ctx context.Context, ds *datasetEntry, w http.Respons
 		return errFromBuild(err)
 	}
 	id := s.storeCAD(ds, bv.view)
-	// The cached view is shared across requests; give each response its
-	// own id without mutating the shared struct.
-	out := *bv.view
-	out.Name = id
-	resp := map[string]any{
-		"id":      id,
-		"view":    &out,
-		"text":    bv.text,
-		"cached":  cached,
-		"buildMs": float64(bv.tm.Total().Microseconds()) / 1e3,
-		"timings": timingsJSON(bv.tm),
-	}
 	// Epoch-aware stale serve: a cache hit built before rows were
 	// appended still answers immediately, flagged with how many rows it
 	// is missing, while a singleflight background rebuild refreshes the
 	// entry (see DESIGN.md §15 for the contract).
+	stale := ""
 	if cached {
 		if t := ds.snapshot().Table(); t.Epoch() != bv.epoch {
-			stale := t.NumRows() - bv.rows
-			if stale < 0 {
-				stale = 0
-			}
-			resp["stale"] = stale
+			stale = strconv.Itoa(max(t.NumRows()-bv.rows, 0))
 			s.staleServed.Inc()
 			s.refreshCAD(ds, key, &req)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	b, err := appendCAD(nil, id, bv, cached, stale, false)
+	if err != nil {
+		return errInternal()
+	}
+	writeBody(w, http.StatusOK, b)
 	return nil
 }
 
@@ -794,33 +765,13 @@ func (s *Server) shedCAD(_ context.Context, ds *datasetEntry, w http.ResponseWri
 		return false
 	}
 	s.staleServed.Inc()
-	id := s.storeCAD(ds, bv.view)
-	out := *bv.view
-	out.Name = id
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id":      id,
-		"view":    &out,
-		"text":    bv.text,
-		"cached":  true,
-		"stale":   stale,
-		"shed":    true,
-		"buildMs": float64(bv.tm.Total().Microseconds()) / 1e3,
-		"timings": timingsJSON(bv.tm),
-	})
+	b, err := appendCAD(nil, s.storeCAD(ds, bv.view), bv, true, strconv.FormatBool(stale), true)
+	if err != nil {
+		writeAPIError(w, errInternal())
+		return true
+	}
+	writeBody(w, http.StatusOK, b)
 	return true
-}
-
-func timingsJSON(tm core.Timings) map[string]float64 {
-	out := make(map[string]float64, 8)
-	for _, st := range tm.Stages() {
-		out[st.Name+"Ms"] = float64(st.D.Microseconds()) / 1e3
-	}
-	// Sub-breakdown of the cluster stage (additive keys; their sum plus
-	// encoding time equals clusterMs).
-	for _, st := range tm.ClusterDetail.Stages() {
-		out["cluster_"+st.Name+"Ms"] = float64(st.D.Microseconds()) / 1e3
-	}
-	return out
 }
 
 // buildCAD returns the CAD View for the request — from the LRU cache, by
@@ -1001,11 +952,17 @@ func (s *Server) handleReorder(_ context.Context, ds *datasetEntry, w http.Respo
 	}
 	reordered.Name = req.ID
 	s.cads.Put(viewcache.Key(req.ID), &storedCAD{dataset: ds.name, view: reordered})
-	writeJSON(w, http.StatusOK, map[string]any{
-		"view":         reordered,
-		"similarities": sims,
-		"text":         core.Render(reordered, nil),
-	})
+	b, err := appendSimilarities(append([]byte(nil), `{"similarities":`...), sims)
+	if err != nil {
+		return errInternal()
+	}
+	b = append(b, `,"text":`...)
+	b = jsonw.String(b, core.Render(reordered, nil))
+	b = append(b, `,"view":`...)
+	if b, err = reordered.AppendJSON(b, reordered.Name); err != nil {
+		return errInternal()
+	}
+	writeBody(w, http.StatusOK, append(b, "}\n"...))
 	return nil
 }
 
@@ -1016,16 +973,6 @@ func decode(r *http.Request, into any) *apiError {
 		return errBadRequest(fmt.Errorf("bad request body: %w", err))
 	}
 	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are gone; nothing more to do than log via the default
-		// error path.
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }
 
 func debugStack() []byte { return debug.Stack() }

@@ -15,6 +15,7 @@ import (
 	"dbexplorer/internal/dataview"
 	"dbexplorer/internal/facet"
 	"dbexplorer/internal/fault"
+	"dbexplorer/internal/jsonw"
 	"dbexplorer/internal/viewcache"
 )
 
@@ -66,14 +67,19 @@ func (s *Server) handleIngest(ctx context.Context, ds *datasetEntry, w http.Resp
 	s.ingestRows.Add(int64(len(rows)))
 	s.refreshEntry(ds)
 
-	writeJSON(w, http.StatusOK, map[string]any{
-		"dataset":  ds.name,
-		"appended": len(rows),
-		"rows":     newRows,
-		"epoch":    epoch,
-		"stale":    newRows - v.Rows(),
-		"digest":   dig,
-	})
+	b := append([]byte(nil), `{"appended":`...)
+	b = strconv.AppendInt(b, int64(len(rows)), 10)
+	b = append(b, `,"dataset":`...)
+	b = jsonw.String(b, ds.name)
+	b = append(b, `,"digest":`...)
+	b = dig.AppendJSON(b)
+	b = append(b, `,"epoch":`...)
+	b = strconv.AppendUint(b, epoch, 10)
+	b = append(b, `,"rows":`...)
+	b = strconv.AppendInt(b, int64(newRows), 10)
+	b = append(b, `,"stale":`...)
+	b = strconv.AppendInt(b, int64(newRows-v.Rows()), 10)
+	writeBody(w, http.StatusOK, append(b, "}\n"...))
 	return nil
 }
 

@@ -20,6 +20,7 @@ import (
 
 	"dbexplorer/internal/dataset"
 	"dbexplorer/internal/dataview"
+	"dbexplorer/internal/facet"
 	"dbexplorer/internal/fault"
 	"dbexplorer/internal/suggest"
 )
@@ -549,4 +550,27 @@ func mustUnmarshal(t *testing.T, raw json.RawMessage, into any) {
 	if err := json.Unmarshal(raw, into); err != nil {
 		t.Fatalf("unmarshal %s: %v", raw, err)
 	}
+}
+
+// TestIngestBodyMatchesEncodingJSON pins the appended /ingest body to
+// the map it was before, encoded by json.Encoder; the digest goes
+// through refDigest (encode_test.go).
+func TestIngestBodyMatchesEncodingJSON(t *testing.T) {
+	_, e, srv := newIngestServer(t, 60)
+	v := e.snapshot()
+	_, raw := rawPost(t, srv, "/api/v1/pets/ingest", map[string]any{
+		"rows": []any{[]any{"cat", "SF", 3.5}, []any{"<fish & \"eel\">", "NY", nil}},
+	})
+	tbl := v.Table()
+	dig := facet.NewSessionBitmap(v, dataset.FullBitmap(v.Rows())).Digest()
+	dig = facet.ExtendDigest(v, dig, v.Rows(), tbl.NumRows())
+	want := refEncode(t, map[string]any{
+		"dataset":  "pets",
+		"appended": 2,
+		"rows":     tbl.NumRows(),
+		"epoch":    tbl.Epoch(),
+		"stale":    tbl.NumRows() - v.Rows(),
+		"digest":   refDigest{dig.Attrs},
+	})
+	sameBytes(t, "/ingest", raw, want)
 }
