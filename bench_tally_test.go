@@ -1,11 +1,13 @@
 // Benchmark of dataview.Tally, the one routine that counts facet values
-// for digests, panels, drill-downs and completion. Each result set is
-// counted three ways: by Tally itself, and by each of the two methods
-// its cut chooses between, forced here by plain loops — one walk of the
-// result's rows over every column's code segments, and one
+// for digests, panels, drill-downs and completion. Tally has two
+// methods, walk and AndLen, and its cut (Universe()/8) picks one from
+// the result's size. Each result set is counted three ways: by Tally
+// itself, and by each method forced here by a plain loop — one walk of
+// the result's rows over every column's code segments, and one
 // intersect-popcount per posting. Results run from a few rows to the
 // whole table on the 40K-row cars fixture and the 1M-row Zipf fixture,
-// so the cut (Universe()/8) is measured from both sides.
+// so the cut is measured from both sides; whole-table results count by
+// AndLen.
 package dbexplorer_test
 
 import (

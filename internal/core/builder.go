@@ -193,10 +193,10 @@ func BuildBitmap(ctx context.Context, v *dataview.View, bm *dataset.Bitmap, cfg 
 
 	// Warm the pivot's posting sets first, so their one-off construction
 	// is attributed to the Index stage instead of smeared over feature
-	// selection. On a warm view this stage is ~0. Only the pivot warms
-	// eagerly — every other posting set builds lazily behind a per-stage
-	// cost dispatch (featsel's per-candidate split), so narrow results
-	// over wide tables never pay for postings no stage ends up using.
+	// selection. On a warm view this stage is ~0. No other stage needs
+	// postings: feature selection and clustering sweep the result's rows
+	// over cached code slices, so narrow results over wide tables never
+	// pay for a posting build.
 	start := time.Now()
 	pivotCol.Postings()
 	tm.Index = time.Since(start)
@@ -415,23 +415,21 @@ func applyScores(chosen []string, scores []featsel.Score, cfg Config) []string {
 // selectCompareAttrsBitmap applies the paper's Compare Attribute policy
 // over the result-set bitmap: explicitly selected attributes first, then
 // chi-square ranked ones that pass the significance threshold, up to
-// MaxCompare total. Without sampling, the contingency sweep runs in its
-// bitmap form (intersect-popcount against the class postings,
-// cost-dispatched per candidate) without materializing a row set at all;
-// feature sampling draws the systematic sample straight off the bitmap
-// and ranks it with the row-scan sweep.
+// MaxCompare total. The contingency sweep runs over the result's rows,
+// or, with feature sampling, over a systematic sample drawn straight off
+// the bitmap.
 func selectCompareAttrsBitmap(ctx context.Context, v *dataview.View, bmV *dataset.Bitmap, cfg Config) ([]string, error) {
 	chosen, candidates, err := explicitCompareAttrs(v, cfg)
 	if err != nil || len(candidates) == 0 {
 		return chosen, err
 	}
-	var scores []featsel.Score
+	var rankRows dataset.RowSet
 	if cfg.FeatureSampleSize > 0 && cfg.FeatureSampleSize < bmV.Len() {
-		rankRows := sampleRowsBitmap(bmV, cfg.FeatureSampleSize, cfg.Seed)
-		scores, err = featsel.ChiSquareContext(ctx, v, rankRows, cfg.Pivot, candidates)
+		rankRows = sampleRowsBitmap(bmV, cfg.FeatureSampleSize, cfg.Seed)
 	} else {
-		scores, err = featsel.ChiSquareBitmapContext(ctx, v, bmV, cfg.Pivot, candidates)
+		rankRows = bmV.ToRowSet()
 	}
+	scores, err := featsel.ChiSquareContext(ctx, v, rankRows, cfg.Pivot, candidates)
 	if err != nil {
 		return nil, err
 	}

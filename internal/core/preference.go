@@ -28,7 +28,12 @@ func ByMeanAscending(attr string) Preference {
 		if !ok {
 			return 0
 		}
-		// Monotone decreasing, bounded to (0, 1].
+		// Strictly decreasing over all reals and bounded to (0, 2): a
+		// non-negative mean scores 1/(1+m) in (0, 1], a negative one
+		// 2 − 1/(1−m) in (1, 2), the two meeting at 1 for m = 0.
+		if m < 0 {
+			return 2 - 1/(1-m)
+		}
 		return 1 / (1 + m)
 	}
 }

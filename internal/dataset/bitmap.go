@@ -371,67 +371,6 @@ func (b *Bitmap) AndLen(o *Bitmap) int {
 	return total
 }
 
-// AndLen3 returns |b ∩ o ∩ m| by fused counting, without materializing
-// either intersection. Contingency cells are |posting ∩ classPosting ∩
-// result|; counting through this instead of allocating the class ∩
-// result bitmaps first removes one bitmap allocation per class from
-// every feature-selection sweep. Complete operands reduce the chunk to
-// a two-way count (or a cached cardinality), which is what makes
-// whole-table contingency sweeps probe-free in their result operand.
-func (b *Bitmap) AndLen3(o, m *Bitmap) int {
-	b.sameUniverse(o)
-	b.sameUniverse(m)
-	total := 0
-	for i := range b.cs {
-		bc, oc, mc := &b.cs[i], &o.cs[i], &m.cs[i]
-		if m.complete(i) {
-			mc = nil
-		}
-		if o.complete(i) {
-			oc = mc
-			mc = nil
-		}
-		if b.complete(i) {
-			bc = oc
-			oc = mc
-			mc = nil
-		}
-		switch {
-		case bc == nil:
-			total += b.chunkLim(i)
-		case oc == nil:
-			total += int(bc.card)
-		case mc == nil:
-			total += andLenContainers(bc, oc)
-		default:
-			total += andLen3Containers(bc, oc, mc)
-		}
-	}
-	return total
-}
-
-// AndFirst returns the smallest row of b ∩ o, or -1 when the
-// intersection is empty, without materializing it. The builder uses it
-// to derive class first-occurrence order from posting bitmaps.
-func (b *Bitmap) AndFirst(o *Bitmap) int {
-	b.sameUniverse(o)
-	for i := range b.cs {
-		var v int
-		switch {
-		case o.complete(i):
-			v = b.cs[i].first()
-		case b.complete(i):
-			v = o.cs[i].first()
-		default:
-			v = andFirstContainers(&b.cs[i], &o.cs[i])
-		}
-		if v >= 0 {
-			return i<<chunkBits + v
-		}
-	}
-	return -1
-}
-
 // ForEach calls fn for every set row in ascending order.
 func (b *Bitmap) ForEach(fn func(row int)) {
 	for i := range b.cs {
@@ -482,6 +421,8 @@ func (b *Bitmap) Slice(offset, limit int) RowSet {
 // ToRowSet unpacks the bitmap into a sorted unique RowSet.
 func (b *Bitmap) ToRowSet() RowSet {
 	out := make(RowSet, 0, b.Len())
-	b.ForEach(func(row int) { out = append(out, row) })
+	for i := range b.cs {
+		out = b.cs[i].appendRows(out, i<<chunkBits)
+	}
 	return out
 }

@@ -324,6 +324,34 @@ func (c *container) forEach(base int, fn func(v int)) {
 	}
 }
 
+// appendRows appends base+v for every member v, in ascending order: the
+// forEach walk with the append inlined, since a closure call per row
+// made ToRowSet about three times slower (all 40K rows of a table in
+// 0.29 ms against 0.09 ms on one CPU).
+func (c *container) appendRows(dst RowSet, base int) RowSet {
+	switch c.kind {
+	case arrayK:
+		for _, v := range c.array {
+			dst = append(dst, base+int(v))
+		}
+	case bitmapK:
+		for i, w := range c.words {
+			wbase := base + i<<6
+			for w != 0 {
+				dst = append(dst, wbase+bits.TrailingZeros64(w))
+				w &= w - 1
+			}
+		}
+	default:
+		for _, r := range c.runs {
+			for v := int(r.start); v <= int(r.last); v++ {
+				dst = append(dst, base+v)
+			}
+		}
+	}
+	return dst
+}
+
 // --- word-range helpers -------------------------------------------------
 
 // setRange sets bits [lo, hi] (inclusive) in w.
@@ -845,120 +873,6 @@ func countIntersectArrays(a, b []uint16) int {
 		}
 	}
 	return n
-}
-
-// andLen3Containers returns |a ∩ b ∩ c| without materializing either
-// intersection — the contingency-cell primitive.
-func andLen3Containers(a, b, c *container) int {
-	if a.card == 0 || b.card == 0 || c.card == 0 {
-		return 0
-	}
-	if a.kind == bitmapK && b.kind == bitmapK && c.kind == bitmapK {
-		n := 0
-		for i, x := range a.words {
-			n += bits.OnesCount64(x & b.words[i] & c.words[i])
-		}
-		return n
-	}
-	// Iterate the smallest array operand, probing the other two; with no
-	// array operand, fold the two smallest and count against the third.
-	smallest := -1
-	ops := [3]*container{a, b, c}
-	for i, op := range ops {
-		if op.kind == arrayK && (smallest < 0 || op.card < ops[smallest].card) {
-			smallest = i
-		}
-	}
-	if smallest >= 0 {
-		p, q := ops[(smallest+1)%3], ops[(smallest+2)%3]
-		n := 0
-		for _, v := range ops[smallest].array {
-			if p.contains(v) && q.contains(v) {
-				n++
-			}
-		}
-		return n
-	}
-	// Only bitmap and run kinds remain; fold the two cheapest first.
-	sort.Slice(ops[:], func(i, j int) bool { return ops[i].card < ops[j].card })
-	m := andContainers(ops[0], ops[1])
-	return andLenContainers(&m, ops[2])
-}
-
-// first returns the container's smallest member, or -1 when empty.
-func (c *container) first() int {
-	if c.card == 0 {
-		return -1
-	}
-	switch c.kind {
-	case arrayK:
-		return int(c.array[0])
-	case runK:
-		return int(c.runs[0].start)
-	default: // bitmap
-		for i, x := range c.words {
-			if x != 0 {
-				return i<<6 + bits.TrailingZeros64(x)
-			}
-		}
-		return -1
-	}
-}
-
-// andFirstContainers returns the smallest member of a ∩ b, or -1.
-func andFirstContainers(a, b *container) int {
-	if a.card == 0 || b.card == 0 {
-		return -1
-	}
-	if a.kind == bitmapK && b.kind == bitmapK {
-		for i, x := range a.words {
-			if m := x & b.words[i]; m != 0 {
-				return i<<6 + bits.TrailingZeros64(m)
-			}
-		}
-		return -1
-	}
-	if b.kind == arrayK && a.kind != arrayK {
-		a, b = b, a
-	}
-	if a.kind == arrayK {
-		for _, v := range a.array {
-			if b.contains(v) {
-				return int(v)
-			}
-		}
-		return -1
-	}
-	// a is a run container (b is run or bitmap): probe b run by run.
-	if a.kind != runK {
-		a, b = b, a
-	}
-	for _, r := range a.runs {
-		switch b.kind {
-		case runK:
-			for _, s := range b.runs {
-				lo := maxU16(r.start, s.start)
-				hi := minU16(r.last, s.last)
-				if lo <= hi {
-					return int(lo)
-				}
-			}
-		default: // bitmap
-			for w := int(r.start) >> 6; w <= int(r.last)>>6; w++ {
-				x := b.words[w]
-				if w == int(r.start)>>6 {
-					x &= ^uint64(0) << (r.start & 63)
-				}
-				if w == int(r.last)>>6 {
-					x &= ^uint64(0) >> (63 - r.last&63)
-				}
-				if x != 0 {
-					return w<<6 + bits.TrailingZeros64(x)
-				}
-			}
-		}
-	}
-	return -1
 }
 
 // memoryBytes is the payload footprint of the container's backing store.

@@ -27,7 +27,7 @@ import (
 // cheap: a worker that scans segment s produces container s of every
 // posting it touches, with no cross-segment carry, and the per-segment
 // results concatenate (bitmap containers, sorted orders) or add
-// (frequencies, contingency cells) into the global answer.
+// (frequencies) into the global answer.
 //
 // Segments are also the seam for incremental ingest: appends only ever
 // touch the last segment, so earlier segments — and every per-segment

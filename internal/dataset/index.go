@@ -303,48 +303,6 @@ func (ix *Index) MemoryBytes() int {
 	return total
 }
 
-// HasCatPostings reports whether the categorical column's posting sets
-// are already materialized. Cost dispatches probe it to price a cold
-// posting build into a scan-vs-bitmap decision without triggering the
-// build they are pricing.
-func (ix *Index) HasCatPostings(col int) bool {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.cat[col] != nil
-}
-
-// PostingsAll returns the posting bitmaps of several categorical columns
-// at once (nil entries for numeric columns), building the missing ones as
-// one batch on the shared worker pool instead of column-by-column under
-// the per-call lock. The contingency sweep (featsel) uses it to build the
-// postings of every candidate its dispatch sent down the bitmap branch in
-// one batch.
-func (ix *Index) PostingsAll(cols []int) [][]*Bitmap {
-	// Find the columns that still need a build; snapshot under the lock.
-	ix.mu.Lock()
-	var missing []int
-	for _, col := range cols {
-		if ix.t.cats[col] != nil && ix.cat[col] == nil {
-			missing = append(missing, col)
-		}
-	}
-	ix.mu.Unlock()
-	if len(missing) > 0 {
-		// CatPostings re-checks under the lock, so concurrent PostingsAll
-		// calls at worst build a column once each and keep the first.
-		parallel.Do(len(missing), func(i int) {
-			ix.CatPostings(missing[i])
-		})
-	}
-	out := make([][]*Bitmap, len(cols))
-	for i, col := range cols {
-		if ix.t.cats[col] != nil {
-			out[i] = ix.CatPostings(col)
-		}
-	}
-	return out
-}
-
 // CatEq returns the rows whose categorical column equals the dictionary
 // code. Codes outside the dictionary (CodeOf misses report -1) yield the
 // empty set. The result may alias an index-owned posting bitmap and is

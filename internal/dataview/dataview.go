@@ -156,27 +156,6 @@ func segsLen(segs [][]int32) int {
 	return n
 }
 
-// PostingsReady reports whether Postings would return without building
-// anything: the sets are memoized on the view, or (categorical columns)
-// the table index already materialized them and the view would adopt
-// them for free. Cost dispatches probe it to price a cold posting build
-// into the scan-vs-bitmap decision instead of charging the build to
-// whichever query happens to run first.
-func (c *Column) PostingsReady() bool {
-	c.postMu.Lock()
-	defer c.postMu.Unlock()
-	if c.postings != nil {
-		return true
-	}
-	if c.cat != nil && c.tbl != nil {
-		n := c.rows()
-		if ix := c.tbl.Index(); ix.Rows() == n && ix.HasCatPostings(c.Col) {
-			return len(ix.CatPostings(c.Col)) == c.Cardinality()
-		}
-	}
-	return false
-}
-
 // rows returns the number of table rows the view was built over. This is
 // a snapshot pinned at view construction, not the live table length:
 // rows appended afterwards stay invisible to the view, so its postings,
@@ -440,10 +419,12 @@ const walkDiv = 8
 
 // Tally returns, for each column, how many rows of the set rows carry
 // each view code: out[i][code]. NaN cells carry none. rows must span the
-// view's row snapshot. The result's size alone picks the method, and all
-// give the same counts: every row reads posting lengths, a sparse result
-// is walked once over all columns' code segments, and the rest is one
-// intersect-popcount per posting, a column per task on the shared pool.
+// view's row snapshot. The result's size alone picks one of two methods,
+// and both give the same counts: a sparse result is walked once over all
+// columns' code segments, and the rest is one intersect-popcount per
+// posting, a column per task on the shared pool. A whole-table result
+// takes the second, where AndLen reads each complete chunk's count off
+// the posting's container.
 func Tally(rows *dataset.Bitmap, cols []*Column) [][]int {
 	out := make([][]int, len(cols))
 	for i, c := range cols {
@@ -452,14 +433,7 @@ func Tally(rows *dataset.Bitmap, cols []*Column) [][]int {
 		}
 		out[i] = make([]int, c.Cardinality())
 	}
-	switch n := rows.Len(); {
-	case n == rows.Universe():
-		for i, c := range cols {
-			for code, p := range c.Postings() {
-				out[i][code] = p.Len()
-			}
-		}
-	case n < rows.Universe()/walkDiv:
+	if rows.Len() < rows.Universe()/walkDiv {
 		segs := make([][][]int32, len(cols))
 		for i, c := range cols {
 			segs[i] = c.CodeSegs()
@@ -471,13 +445,13 @@ func Tally(rows *dataset.Bitmap, cols []*Column) [][]int {
 				}
 			}
 		})
-	default:
-		parallel.Do(len(cols), func(i int) {
-			for code, p := range cols[i].Postings() {
-				out[i][code] = rows.AndLen(p)
-			}
-		})
+		return out
 	}
+	parallel.Do(len(cols), func(i int) {
+		for code, p := range cols[i].Postings() {
+			out[i][code] = rows.AndLen(p)
+		}
+	})
 	return out
 }
 

@@ -512,7 +512,7 @@ func (s *Session) execExplain(ctx context.Context, st *cadql.ExplainStmt) (*Resu
 		}
 	}
 	if len(candidates) > 0 {
-		scores, err := featsel.ChiSquareBitmapContext(ctx, v, rows, c.Pivot, candidates)
+		scores, err := featsel.ChiSquareContext(ctx, v, rows.ToRowSet(), c.Pivot, candidates)
 		if err != nil {
 			return nil, err
 		}

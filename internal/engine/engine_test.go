@@ -270,6 +270,59 @@ func TestExecCreateCADViewOrderByNullCells(t *testing.T) {
 	}
 }
 
+// TestExecCreateCADViewOrderByNegativeMeans pins ORDER BY ... ASC over
+// an attribute whose cluster means are negative: temperatures from −8 to
+// 21 must rank, lowest mean first, instead of failing on a negative or
+// infinite preference score.
+func TestExecCreateCADViewOrderByNegativeMeans(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tbl := dataset.NewTable("Temps", dataset.Schema{
+		{Name: "City", Kind: dataset.Categorical, Queriable: true},
+		{Name: "Season", Kind: dataset.Categorical, Queriable: true},
+		{Name: "Temp", Kind: dataset.Numeric, Queriable: true},
+	})
+	cities := []string{"Oslo", "Rome"}
+	seasons := []string{"Winter", "Spring", "Summer"}
+	for i := 0; i < 400; i++ {
+		city, season := rng.Intn(2), rng.Intn(3)
+		temp := -8 + 10*float64(season) + 6*float64(city) + rng.Float64()*3
+		tbl.MustAppendRow(cities[city], seasons[season], math.Min(temp, 21))
+	}
+	temp, _ := tbl.NumByName("Temp")
+	s := NewSession()
+	s.Seed = 1
+	if err := s.Register(tbl); err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Exec(`CREATE CADVIEW v AS SET pivot = City SELECT Season FROM Temps LIMIT COLUMNS 1 IUNITS 2 ORDER BY Temp ASC`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	negative := false
+	for _, row := range r.View.Rows {
+		if len(row.IUnits) != 2 {
+			t.Fatalf("pivot row %s has %d IUnits, want 2", row.Value, len(row.IUnits))
+		}
+		var means [2]float64
+		for i, iu := range row.IUnits {
+			for _, r := range iu.Rows {
+				means[i] += temp.Value(r)
+			}
+			means[i] /= float64(len(iu.Rows))
+			negative = negative || means[i] < 0
+			if iu.Score < 0 || math.IsInf(iu.Score, 0) {
+				t.Errorf("pivot row %s: IUnit %d scores %g for mean %g", row.Value, iu.Rank, iu.Score, means[i])
+			}
+		}
+		if means[0] > means[1] {
+			t.Errorf("pivot row %s: IUnit means %g then %g, want the lower first", row.Value, means[0], means[1])
+		}
+	}
+	if !negative {
+		t.Fatal("no IUnit has a negative mean; the table does not exercise the case")
+	}
+}
+
 func TestExecCADViewErrors(t *testing.T) {
 	s := newSession(t)
 	if _, err := s.Exec("CREATE CADVIEW v AS SET pivot = Make SELECT Price FROM Nope"); err == nil {

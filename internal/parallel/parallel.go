@@ -84,58 +84,6 @@ func ForChunks(n, minChunk int, fn func(lo, hi int)) {
 	pb.rethrow()
 }
 
-// Morsels splits [0, n) into fixed-size spans of size items (last span
-// may be shorter) and runs fn(lo, hi) for every span, with at most
-// Workers() goroutines pulling spans from a shared counter. Unlike
-// ForChunks, which deals each worker one large static chunk, spans here
-// are claimed dynamically — a worker stuck on an expensive span (dense
-// bitmap segment, hot pivot) does not leave the rest of the range
-// stranded behind it. Fewer than two spans run inline. fn must be safe
-// to call concurrently for disjoint spans; the first panic is re-raised
-// on the caller's goroutine after all workers finish.
-func Morsels(n, size int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if size < 1 {
-		size = 1
-	}
-	spans := (n + size - 1) / size
-	if spans <= 1 || Workers() <= 1 {
-		fn(0, n)
-		return
-	}
-	var pb panicBox
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	w := Workers()
-	if w > spans {
-		w = spans
-	}
-	for j := 0; j < w; j++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer pb.capture()
-			for {
-				s := int(next.Add(1))
-				if s >= spans {
-					return
-				}
-				lo := s * size
-				hi := lo + size
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-	pb.rethrow()
-}
-
 // Do runs fn(0) … fn(n-1) with at most Workers() goroutines pulling
 // indices from a shared counter, blocking until all calls return. Use it
 // for independent tasks of uneven cost (e.g. one CAD View pivot row per

@@ -1,7 +1,7 @@
 // Top-level segment-boundary equivalence: tables whose row counts land
 // on every awkward segment shape — well inside one segment, one row past
 // a segment edge, and an exact multiple of the segment size — must
-// produce CAD Views whose bitmap chi-square scores match the row scan's
+// produce CAD Views whose chi-square scores match a row-loop reference
 // bit for bit and whose pivot rows match a row loop, facet digests and
 // panels that match a loop over table cells, and compiled predicate
 // plans that select the same rows cold (no postings yet) and warm.
@@ -22,6 +22,7 @@ import (
 	"dbexplorer/internal/expr"
 	"dbexplorer/internal/facet"
 	"dbexplorer/internal/featsel"
+	"dbexplorer/internal/stats"
 )
 
 // boundaryRowCounts covers a single partial segment, a one-row tail
@@ -66,10 +67,57 @@ func interpretRows(t *dataset.Table, rows dataset.RowSet, e expr.Expr) (dataset.
 	return out, nil
 }
 
+// rowLoopChiSquare is the ranking reference for the build's Compare
+// Attribute scores, sharing no code with featsel's contingency fill: each
+// candidate's table is counted by a plain loop over the rows' view codes
+// (classes numbered in order of first occurrence, NaN cells counted
+// nowhere), scored by stats.ChiSquare, and sorted statistic descending,
+// then name ascending.
+func rowLoopChiSquare(t *testing.T, v *dataview.View, rows dataset.RowSet, class string, candidates []string) []featsel.Score {
+	t.Helper()
+	cc, err := v.Column(class)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classOf := map[int]int{}
+	for _, r := range rows {
+		if c := cc.Code(r); c >= 0 {
+			if _, ok := classOf[c]; !ok {
+				classOf[c] = len(classOf)
+			}
+		}
+	}
+	out := make([]featsel.Score, len(candidates))
+	for j, name := range candidates {
+		col, err := v.Column(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table := stats.NewContingencyTable(col.Cardinality(), len(classOf))
+		for _, r := range rows {
+			if c, x := cc.Code(r), col.Code(r); c >= 0 && x >= 0 {
+				table.Counts[x][classOf[c]]++
+			}
+		}
+		res, err := stats.ChiSquare(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[j] = featsel.Score{Attr: name, Stat: res.Stat, PValue: res.PValue}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Stat != out[j].Stat {
+			return out[i].Stat > out[j].Stat
+		}
+		return out[i].Attr < out[j].Attr
+	})
+	return out
+}
+
 // checkBoundaryCADView builds the boundary CAD View over rows and
-// requires the chi-square scores the build ranks Compare Attributes by,
-// which come from posting-bitmap contingency tables, to equal the
-// row-scan ranker's over the same rows, score for score. BuildBitmap over
+// requires the chi-square scores the build ranks Compare Attributes by
+// to equal the row-loop reference's over the same rows, bit for bit.
+// BuildBitmap over
 // a facet session on the same rows must give the same CAD View. The
 // pivot rows must carry the values and counts of a plain row loop (count
 // descending, value ascending). It returns the build.
@@ -93,16 +141,12 @@ func checkBoundaryCADView(t *testing.T, v *dataview.View, rows dataset.RowSet) *
 			candidates = append(candidates, col.Attr)
 		}
 	}
-	scan, err := featsel.ChiSquareContext(context.Background(), v, rows, cfg.Pivot, candidates)
+	scores, err := featsel.ChiSquareContext(context.Background(), v, rows, cfg.Pivot, candidates)
 	if err != nil {
-		t.Fatalf("row-scan ranking: %v", err)
+		t.Fatalf("ranking: %v", err)
 	}
-	bitmap, err := featsel.ChiSquareBitmapContext(context.Background(), v, rows.Bitmap(v.Rows()), cfg.Pivot, candidates)
-	if err != nil {
-		t.Fatalf("bitmap ranking: %v", err)
-	}
-	if !reflect.DeepEqual(bitmap, scan) {
-		t.Errorf("bitmap scores %v, row-scan scores %v", bitmap, scan)
+	if want := rowLoopChiSquare(t, v, rows, cfg.Pivot, candidates); !reflect.DeepEqual(scores, want) {
+		t.Errorf("scores %v, row loop %v", scores, want)
 	}
 	pivotCol, err := v.Column(cfg.Pivot)
 	if err != nil {
@@ -224,7 +268,7 @@ func warmTableIndex(tbl *dataset.Table) *dataset.Index {
 // table built with all rows from the start: identical compiled-predicate
 // row sets, facet digests (both the posting-bitmap session path and the
 // row-scan path), and rendered plus structural CAD Views (each also
-// checked against the row-scan chi-square scores and a pivot row loop).
+// checked against the row-loop chi-square reference and a pivot row loop).
 func TestAppendBoundaryEquivalence(t *testing.T) {
 	for _, shape := range appendBoundaryShapes {
 		n0, n1 := shape[0], shape[1]
@@ -394,8 +438,8 @@ func TestSegmentBoundaryEquivalence(t *testing.T) {
 				checkCellSummary(t, v, sum, cellRows(tbl, others), "panel")
 			}
 
-			// CAD Views on every boundary shape: bitmap chi-square scores
-			// == row-scan scores, pivot rows == a row loop.
+			// CAD Views on every boundary shape: chi-square scores == the
+			// row-loop reference's, pivot rows == a row loop.
 			checkBoundaryCADView(t, v, rows)
 		})
 	}
