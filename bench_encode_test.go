@@ -3,11 +3,12 @@
 // view's wire structs behind a json.Marshaler, which is how a view was
 // encoded before AppendJSON (reflection, then the compaction pass
 // encoding/json makes over every Marshaler's output). The views are
-// BenchmarkCADColdBuild's eight shapes on the 1M-row Zipf fixture and
-// four views of the 40K featured cars in session-mix's shape (pivot
-// Make over the five makes, K 3, four Compare Attributes). Each
-// sub-benchmark reports the view's encoded size next to ns/op, and the
-// two encodings are checked to be the same bytes before timing.
+// BenchmarkCADColdBuild's eight zipf/... shapes on the 1M-row Zipf
+// fixture and four cars-40k/... views of the 40K featured cars in
+// session-mix's shape (pivot Make over the five makes, K 3, four
+// Compare Attributes). Each sub-benchmark reports the view's encoded
+// size next to ns/op, and the two encodings are checked to be the same
+// bytes before timing.
 package dbexplorer_test
 
 import (
@@ -58,12 +59,12 @@ func BenchmarkEncodeCADView(b *testing.B) {
 		view *core.CADView
 	}
 	var views []namedView
-	for _, shape := range cadColdShapes(b) {
-		view, _, err := core.BuildBitmap(context.Background(), zipfView, shape.rows, shape.cfg)
+	for _, shape := range zipfColdShapes(b) {
+		view, _, err := core.BuildBitmap(context.Background(), shape.v, shape.rows, shape.cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		views = append(views, namedView{"cad-cold/" + shape.name, view})
+		views = append(views, namedView{shape.name, view})
 	}
 	fixtures(b)
 	for _, f := range []struct {
